@@ -8,6 +8,7 @@ from .errors import (
     GridFormatError,
     IllegalCommutation,
     InexactDivision,
+    InvalidDifferential,
     NonIntegralAlexander,
     NotDestabilizable,
     OverflowGuard,
@@ -40,7 +41,6 @@ from .complexes import (
     gen_from_colstring,
     gen_to_colstring,
     rect_moves_from,
-    rectangles_between,
 )
 from .homology import BigradedRanks, extract_hat, homology, poincare_string
 from .signs import SignAssignment, solve_signs

@@ -191,10 +191,10 @@ def _cmd_homology(args) -> int:
         if truncation < 1:
             raise UsageError(f"--truncate must be >= 1, got {truncation}")
         cx = build_minus_complex(g, truncation, coeff, signs, args.max_grid)
-        ranks = homology(cx, args.threads)
+        ranks = homology(cx)
     else:
         cx = build_tilde_complex(g, coeff, signs, args.max_grid)
-        ranks = homology(cx, args.threads)
+        ranks = homology(cx)
         if version == "hat":
             ranks = extract_hat(ranks, g.n)
 
@@ -220,7 +220,7 @@ def _cmd_homology(args) -> int:
 def _hat_for(args) -> tuple[Grid, BigradedRanks]:
     g = load_grid(args.grid)
     coeff = _coefficients(args)
-    return g, hat_homology(g, coeff, args.max_grid, args.threads)
+    return g, hat_homology(g, coeff, args.max_grid)
 
 
 def _cmd_alexander(args) -> int:
@@ -381,8 +381,6 @@ def _add_common(p: argparse.ArgumentParser, coefficients: bool = True,
     p.add_argument("--json", action="store_true",
                    help="machine-readable stdout and stderr")
     if compute:
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-grading elimination")
         p.add_argument("--max-grid", type=int, default=DEFAULT_MAX_GRID,
                        help=f"refuse grids larger than this "
                             f"(default {DEFAULT_MAX_GRID})")
@@ -433,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random legal moves (default 4)")
     p.add_argument("--seed", type=int, default=0,
                    help="move sampling seed (default 0)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads over the grids of the sequence")
     p.set_defaults(func=_cmd_check_invariance)
 
     p = check_sub.add_parser("signs",

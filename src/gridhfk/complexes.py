@@ -7,21 +7,22 @@ embedded rectangle on the torus whose lower-left and upper-right corners
 are points of ``x``, whose other corners are points of ``y``, and whose
 interior misses all generator points; the pair then agrees away from those
 two rows.  Rectangles are the index-1 positive domains, so they drive
-every differential:
+every differential.
 
-* tilde version: rectangles meeting no X and no O marking;
-* minus version: rectangles meeting no X, with the O multiplicities
-  recorded as exponents of the formal variables ``U_0..U_{n-1}``, each
-  ``U_i`` shifting the bigrading by (-2, -1).
-
-The minus complex is truncated: exponent vectors live below a bound ``d``
-coordinate-wise, and terms that would reach ``d`` are dropped (quotient by
-the subcomplex they span, so the differential still squares to zero).
+One builder makes every differential.  Its basis is each generator times
+``U^k`` with ``k`` in ``{0..d-1}^n``, each ``U_i`` shifting the bigrading
+by (-2, -1).  Its terms are the rectangles meeting no X, with the O
+multiplicities added to ``k``; a term is dropped when an exponent would
+reach ``d`` (the quotient by the subcomplex such terms span, so the
+differential still squares to zero).  That is the truncated minus
+complex.  The tilde complex is its ``d = 1`` truncation, where only the
+rectangles meeting no marking at all survive, on bare generator labels.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +42,6 @@ __all__ = [
     "gen_from_colstring",
     "move_table",
     "rect_moves_from",
-    "rectangles_between",
     "connecting_domain",
     "build_tilde_complex",
     "build_minus_complex",
@@ -111,13 +111,6 @@ class Rectangle:
     def key(self) -> tuple[int, int, int, int]:
         return (self.col, self.row, self.width, self.height)
 
-    def corner_sw(self) -> tuple[int, int]:
-        return (self.col, self.row)
-
-    def corner_ne(self) -> tuple[int, int]:
-        n = self.n
-        return ((self.col + self.width) % n, (self.row + self.height) % n)
-
 
 def _col_inside(col: int, a: int, w: int, n: int) -> bool:
     return 0 < (col - a) % n < w
@@ -134,6 +127,7 @@ class MoveTable:
     def __init__(self, g: Grid, max_grid: int = DEFAULT_MAX_GRID):
         self.grid = g
         n = g.n
+        _check_address_space(n)
         self.gens = enumerate_generators(g, max_grid)
         self.gen_index = {x: i for i, x in enumerate(self.gens)}
         self.rects: list[Rectangle] = []
@@ -141,7 +135,7 @@ class MoveTable:
         self.moves: list[list[tuple[int, int]]] = []
         x_cols, o_cols = g.x_cols, g.o_cols
 
-        def rect_id(a: int, b: int, w: int, h: int) -> int:
+        def intern(a: int, b: int, w: int, h: int) -> int:
             rid = self._rect_ids.get((a, b, w, h))
             if rid is None:
                 rows = [(b + dr) % n for dr in range(h)]
@@ -171,8 +165,33 @@ class MoveTable:
                                 interior = False
                                 break
                         if interior:
-                            out.append((rect_id(a, b, w, h), yid))
+                            out.append((intern(a, b, w, h), yid))
             self.moves.append(out)
+
+    def rect_id(self, rect: Rectangle) -> int:
+        return self._rect_ids[rect.key]
+
+
+def _check_address_space(n: int) -> None:
+    """Refuse a move table that cannot fit under the RLIMIT_AS soft limit.
+
+    The bound is a floor: the n! generator tuples, plus the n height-one
+    rectangles out of each generator, which are always empty, each stored
+    as a (rect_id, target) pair in its row list.
+    """
+    try:
+        import resource
+    except ImportError:  # platform without rlimits
+        return
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY:
+        return
+    move = sys.getsizeof((0, 0)) + sys.getsizeof([0]) - sys.getsizeof([])
+    need = factorial(n) * (sys.getsizeof(tuple(range(n))) + n * move)
+    if need > soft:
+        raise ResourceLimit(
+            f"the move table of a {n}x{n} grid needs over {need >> 20} MiB, "
+            f"above the address-space limit of {soft >> 20} MiB")
 
 
 @lru_cache(maxsize=8)
@@ -185,17 +204,6 @@ def rect_moves_from(g: Grid, x: Generator) -> list[tuple[Rectangle, Generator]]:
     table = move_table(g)
     i = table.gen_index[x]
     return [(table.rects[rid], table.gens[j]) for rid, j in table.moves[i]]
-
-
-def rectangles_between(g: Grid, x: Generator, y: Generator) -> list[Rectangle]:
-    """The empty rectangles from ``x`` to ``y`` (at most two exist)."""
-    diff = [r for r in range(g.n) if x[r] != y[r]]
-    if len(diff) != 2:
-        return []
-    r1, r2 = diff
-    if x[r1] != y[r2] or x[r2] != y[r1]:
-        return []
-    return [rect for rect, tgt in rect_moves_from(g, x) if tgt == y]
 
 
 @dataclass(frozen=True)
@@ -226,9 +234,6 @@ class Domain:
 
     def is_positive(self) -> bool:
         return all(v >= 0 for row in self.coeffs for v in row)
-
-    def multiplicity(self, marking_row: int, marking_col: int) -> int:
-        return self.coeffs[marking_row][marking_col]
 
     def x_multiplicities(self) -> tuple[int, ...]:
         g = self.grid
@@ -361,72 +366,92 @@ class ChainComplex:
 
 def build_tilde_complex(g: Grid, coefficients: str = "F2", signs=None,
                         max_grid: int = DEFAULT_MAX_GRID) -> ChainComplex:
-    """Fully blocked complex: rectangles avoiding every X and O marking."""
-    _check_coefficients(coefficients, signs)
-    table = move_table(g, max_grid)
-    gradings = [(maslov(g, x), alexander(g, x)) for x in table.gens]
-    diff: list[list[tuple[int, int]]] = []
-    for i, x in enumerate(table.gens):
-        row = []
-        for rid, j in table.moves[i]:
-            rect = table.rects[rid]
-            if rect.x_rows or rect.o_rows:
-                continue
-            coeff = 1 if coefficients == "F2" else signs.sign(i, rid)
-            row.append((j, coeff))
-        diff.append(row)
-    return ChainComplex(coefficients, "tilde", g, None, list(table.gens),
-                        gradings, diff)
+    """Fully blocked complex: the minus complex at d = 1, on bare generators."""
+    return _complex(g, 1, coefficients, signs, "tilde", max_grid, None)
 
 
 def build_minus_complex(g: Grid, d: int, coefficients: str = "F2", signs=None,
                         max_grid: int = DEFAULT_MAX_GRID,
                         max_elements: int = DEFAULT_MAX_ELEMENTS) -> ChainComplex:
-    """U-truncated minus complex on pairs (generator, exponent vector).
+    """U-truncated minus complex on pairs (generator, exponent vector)."""
+    return _complex(g, d, coefficients, signs, "minus", max_grid, max_elements)
 
-    Exponents run over ``{0..d-1}^n``; differential terms pushing any
-    exponent to ``d`` or beyond are dropped.
+
+def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
+             max_grid: int, max_elements: int | None) -> ChainComplex:
+    _check_coefficients(coefficients, signs)
+    tilde = version == "tilde"
+    labels, gradings, diff = _differential(
+        g, d, signs.sign if coefficients == "Z" else _unit, tilde, max_grid,
+        max_elements)
+    return ChainComplex(coefficients, version, g, None if tilde else d,
+                        labels, gradings, diff)
+
+
+def _unit(gen_id: int, rect_id: int) -> int:
+    return 1
+
+
+def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
+                  max_elements: int | None,
+                  alexander_grading: int | None = None):
+    """Labels, bigradings and rows of the differential truncated at ``d``.
+
+    The basis is each generator x times U^k, k in {0..d-1}^n, labelled
+    ``(x, k)``, or ``x`` alone when ``bare``; with ``alexander_grading``
+    set, only the elements of that grading, which the differential
+    preserves.  The terms come from the rectangles meeting no X; a term
+    is dropped when an exponent it bumps would reach ``d``, so at d = 1
+    only the rectangles meeting no marking remain.  Row ``i`` lists
+    ``(j, entry(gen_id, rect_id))`` for each term from element i to j.
     """
     if d < 1:
         raise ValueError(f"truncation bound must be positive, got {d}")
-    _check_coefficients(coefficients, signs)
     table = move_table(g, max_grid)
+    gens, moves, rects = table.gens, table.moves, table.rects
     n = g.n
-    total = len(table.gens) * d ** n
-    if total > max_elements:
+    size = d ** n
+    if max_elements is not None and len(gens) * size > max_elements:
         raise ResourceLimit(
-            f"truncated minus basis has {total} elements, over the ceiling "
-            f"{max_elements}")
+            f"truncated minus basis has {len(gens) * size} elements, over "
+            f"the ceiling {max_elements}")
     exps = list(itertools.product(range(d), repeat=n))
-    labels = [(x, k) for x in table.gens for k in exps]
-    index = {lab: i for i, lab in enumerate(labels)}
-    gradings = []
-    for x in table.gens:
-        m, a = maslov(g, x), alexander(g, x)
-        for k in exps:
+    step = [d ** (n - 1 - r) for r in range(n)]  # basis shift of a U_r bump
+    labels, gradings = [], []
+    index = None if alexander_grading is None else {}
+    for i, x in enumerate(gens):
+        a, m = alexander(g, x), None
+        for e, k in enumerate(exps):
             t = sum(k)
+            if index is not None:
+                if a - t != alexander_grading:
+                    continue
+                index[i * size + e] = len(index)
+            if m is None:
+                m = maslov(g, x)
+            labels.append(x if bare else (x, k))
             gradings.append((m - 2 * t, a - t))
-    diff: list[list[tuple[int, int]]] = []
-    for (x, k) in labels:
-        i = table.gen_index[x]
+
+    rows = []
+    for b in (range(len(gens) * size) if index is None else index):
+        i, e = divmod(b, size)
+        k = exps[e]
         row = []
-        for rid, j in table.moves[i]:
-            rect = table.rects[rid]
+        for rid, j in moves[i]:
+            rect = rects[rid]
             if rect.x_rows:
                 continue
-            k2 = list(k)
-            ok = True
-            for orow in rect.o_rows:
-                k2[orow] += 1
-                if k2[orow] >= d:
-                    ok = False
+            if size > 1:  # at d = 1 the target is the move's own int
+                j = j * size + e
+            for r in rect.o_rows:
+                if k[r] == d - 1:
                     break
-            if not ok:
-                continue
-            coeff = 1 if coefficients == "F2" else signs.sign(i, rid)
-            row.append((index[(table.gens[j], tuple(k2))], coeff))
-        diff.append(row)
-    return ChainComplex(coefficients, "minus", g, d, labels, gradings, diff)
+                j += step[r]
+            else:
+                row.append((j if index is None else index[j],
+                            entry(i, rid)))
+        rows.append(row)
+    return labels, gradings, rows
 
 
 def _check_coefficients(coefficients: str, signs) -> None:

@@ -16,6 +16,7 @@ __all__ = [
     "OverflowGuard",
     "UnsatisfiableSigns",
     "InexactDivision",
+    "InvalidDifferential",
     "AsymmetryDetected",
     "EmptyInterval",
 ]
@@ -73,6 +74,10 @@ class UnsatisfiableSigns(RuntimeError):
 
 class InexactDivision(ArithmeticError):
     """Polynomial division that must be exact left a remainder."""
+
+
+class InvalidDifferential(ArithmeticError):
+    """A differential term leaves its (M-1, A) block, or d^2 is not zero."""
 
 
 class AsymmetryDetected(ArithmeticError):

@@ -3,17 +3,16 @@
 The differential preserves the Alexander grading and drops the Maslov
 grading by one, so the complex splits into independent columns indexed by
 A, each a chain of finite-dimensional pieces indexed by M.  Every column
-is eliminated on its own (optionally on a thread pool) and the per-block
-results merge into one immutable table of ranks.
+is eliminated on its own and the per-block results merge into one
+immutable table of ranks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import ChainComplex
-from .errors import InexactDivision, OverflowGuard
+from .errors import InexactDivision, InvalidDifferential, OverflowGuard
 from .linalg import f2_rank, invariant_factors
 
 __all__ = [
@@ -108,16 +107,17 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
     return out
 
 
-def homology(complex_: ChainComplex, threads: int = 1) -> BigradedRanks:
+def homology(complex_: ChainComplex) -> BigradedRanks:
     """Rank (and over Z, torsion) of homology at every bigrading."""
     gradings = complex_.gradings
     for i, row in enumerate(complex_.diff):
         mi, ai = gradings[i]
         for j, c in row:
-            if c:
-                assert gradings[j] == (mi - 1, ai), \
-                    "differential term off the (M-1, A) block"
-    assert not complex_.d_squared(), "differential does not square to zero"
+            if c and gradings[j] != (mi - 1, ai):
+                raise InvalidDifferential(
+                    f"differential term {i} -> {j} leaves the (M-1, A) block")
+    if complex_.d_squared():
+        raise InvalidDifferential("differential does not square to zero")
 
     columns: dict[int, dict[int, list[int]]] = {}
     for i, (m, a) in enumerate(gradings):
@@ -128,22 +128,13 @@ def homology(complex_: ChainComplex, threads: int = 1) -> BigradedRanks:
             for k, i in enumerate(indices):
                 pos_of[i] = k
 
-    def run(a: int):
-        return a, _column_ranks(complex_, columns[a], pos_of)
-
+    blocks: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, sorted(columns)))
-        else:
-            results = [run(a) for a in sorted(columns)]
+        for a in sorted(columns):
+            for m, cell in _column_ranks(complex_, columns[a], pos_of).items():
+                blocks[(m, a)] = cell
     except MemoryError as exc:
         raise OverflowGuard("elimination hit the memory ceiling") from exc
-
-    blocks: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for a, per_m in results:
-        for m, cell in per_m.items():
-            blocks[(m, a)] = cell
     return BigradedRanks(complex_.coefficients, blocks)
 
 

@@ -195,11 +195,10 @@ def legal_moves(g: Grid, max_grid: int = 7) -> list[MoveDescriptor]:
 
 
 def hat_homology(g: Grid, coefficients: str = "F2",
-                 max_grid: int = 9, threads: int = 1) -> BigradedRanks:
+                 max_grid: int = 9) -> BigradedRanks:
     """Hat rank table of the knot presented by ``g``."""
     signs = solve_signs(g, max_grid) if coefficients == "Z" else None
-    tilde = homology(build_tilde_complex(g, coefficients, signs, max_grid),
-                     threads)
+    tilde = homology(build_tilde_complex(g, coefficients, signs, max_grid))
     return extract_hat(tilde, g.n)
 
 

@@ -202,6 +202,3 @@ def invariant_factors(rows: Iterable[dict[int, int]]) -> list[int]:
         factors.extend(_dense_invariant_factors(dense))
     return factors
 
-
-def integer_rank(rows: Iterable[dict[int, int]]) -> int:
-    return len(invariant_factors(rows))

@@ -13,20 +13,22 @@ shellability of closed intervals.
 from __future__ import annotations
 
 import collections
-import itertools
 import random
 from dataclasses import dataclass, field
+from operator import sub
 
 from .complexes import (
     DEFAULT_MAX_ELEMENTS,
     DEFAULT_MAX_GRID,
     ChainComplex,
     Rectangle,
+    _differential,
     connecting_domain,
     move_table,
 )
-from .errors import EmptyInterval, ResourceLimit
-from .gradings import alexander, maslov
+from .errors import EmptyInterval
+# maslov is called through complexes; perfbench wraps it under this name.
+from .gradings import alexander, maslov  # noqa: F401
 from .grid import Grid
 from .homology import BigradedRanks, homology
 
@@ -96,15 +98,27 @@ class GridPoset:
             return True
         if self.maslov[xi] <= self.maslov[yi]:
             return False
-        if self.mode == "hat":
-            dom = connecting_domain(self.grid, x, y, "zero_XO")
-        else:
-            (gx, fx), (gy, fy) = x, y
-            o_counts = tuple(b - a for a, b in zip(fx, fy))
-            if any(v < 0 for v in o_counts):
-                return False
-            dom = connecting_domain(self.grid, gx, gy, "zero_XO", o_counts)
+        (gx, fx), (gy, fy) = self._split(x), self._split(y)
+        o_counts = tuple(map(sub, fy, fx))
+        if min(o_counts) < 0:
+            return False
+        dom = connecting_domain(self.grid, gx, gy, "zero_XO", o_counts)
         return dom is not None and dom.is_positive()
+
+    def _split(self, element):
+        """(generator, exponents) of an element; a hat element has U^0."""
+        return (element, (0,) * self.grid.n) if self.mode == "hat" else element
+
+
+def _truncation(mode: str, truncation: int | None) -> int:
+    """The bound d of a poset mode: hat posets are the d = 1 truncation."""
+    if mode == "hat":
+        return 1
+    if mode != "minus":
+        raise ValueError(f"mode must be 'hat' or 'minus', got {mode!r}")
+    if truncation is None or truncation < 1:
+        raise ValueError("minus mode needs a positive truncation bound")
+    return truncation
 
 
 def build_poset(g: Grid, a: int, mode: str = "hat",
@@ -113,62 +127,21 @@ def build_poset(g: Grid, a: int, mode: str = "hat",
                 max_elements: int = DEFAULT_MAX_ELEMENTS) -> GridPoset:
     """Poset of the Alexander grading ``a`` of the hat or truncated minus basis.
 
-    Covering edges are read straight off the move table: rectangles
-    avoiding all markings (hat) or avoiding X with exponent bumps inside
-    the truncation window (minus).
+    Elements, gradings and covers are that grading's part of the complex
+    from the builder in ``complexes``, with hat as its d = 1 truncation.
     """
-    table = move_table(g, max_grid)
-    n = g.n
-
-    if mode == "hat":
-        elements = [x for x in table.gens if alexander(g, x) == a]
-        grades = [maslov(g, x) for x in elements]
-        index = {x: i for i, x in enumerate(elements)}
-        covers = []
-        for x in elements:
-            upper = index[x]
-            for rid, j in table.moves[table.gen_index[x]]:
-                rect = table.rects[rid]
-                if rect.x_rows or rect.o_rows:
-                    continue
-                covers.append((upper, index[table.gens[j]], rect))
-    elif mode == "minus":
-        if truncation is None or truncation < 1:
-            raise ValueError("minus mode needs a positive truncation bound")
-        d = truncation
-        if len(table.gens) * d ** n > max_elements:
-            raise ResourceLimit(
-                f"truncated minus basis has {len(table.gens) * d ** n} "
-                f"elements, over the ceiling {max_elements}")
-        elements = []
-        grades = []
-        for x in table.gens:
-            ax, mx = alexander(g, x), maslov(g, x)
-            for k in itertools.product(range(d), repeat=n):
-                t = sum(k)
-                if ax - t == a:
-                    elements.append((x, k))
-                    grades.append(mx - 2 * t)
-        index = {e: i for i, e in enumerate(elements)}
-        covers = []
-        for (x, k) in elements:
-            upper = index[(x, k)]
-            for rid, j in table.moves[table.gen_index[x]]:
-                rect = table.rects[rid]
-                if rect.x_rows:
-                    continue
-                k2 = list(k)
-                for orow in rect.o_rows:
-                    k2[orow] += 1
-                if any(v >= d for v in k2):
-                    continue
-                covers.append((upper, index[(table.gens[j], tuple(k2))], rect))
-    else:
-        raise ValueError(f"mode must be 'hat' or 'minus', got {mode!r}")
-
+    d = _truncation(mode, truncation)
+    hat = mode == "hat"
+    rects = move_table(g, max_grid).rects
+    elements, gradings, rows = _differential(
+        g, d, lambda i, rid: rects[rid], hat, max_grid,
+        None if hat else max_elements, a)
+    covers = tuple((upper, lower, rect) for upper, row in enumerate(rows)
+                   for lower, rect in row)
     return GridPoset(grid=g, mode=mode, truncation=truncation, alexander=a,
-                     elements=tuple(elements), maslov=tuple(grades),
-                     covers=tuple(covers), index=index)
+                     elements=tuple(elements),
+                     maslov=tuple(m for m, _ in gradings), covers=covers,
+                     index={e: i for i, e in enumerate(elements)})
 
 
 def alexander_range(g: Grid, mode: str = "hat", truncation: int | None = None,
@@ -178,14 +151,9 @@ def alexander_range(g: Grid, mode: str = "hat", truncation: int | None = None,
     The truncated minus basis reaches ``n * (truncation - 1)`` gradings
     below the plain generators, one step per exponent unit.
     """
-    table = move_table(g, max_grid)
-    vals = [alexander(g, x) for x in table.gens]
-    low = min(vals)
-    if mode == "minus":
-        if truncation is None or truncation < 1:
-            raise ValueError("minus mode needs a positive truncation bound")
-        low -= g.n * (truncation - 1)
-    return range(low, max(vals) + 1)
+    d = _truncation(mode, truncation)
+    vals = [alexander(g, x) for x in move_table(g, max_grid).gens]
+    return range(min(vals) - g.n * (d - 1), max(vals) + 1)
 
 
 # ------------------------------------------------------------- components
@@ -198,12 +166,20 @@ def components(p: GridPoset, coefficients: str = "F2",
     its homology is computed by restricting the differential to it.
     """
     m = len(p.elements)
+    table = move_table(p.grid) if coefficients == "Z" else None
     adjacent: list[list[int]] = [[] for _ in range(m)]
-    for u, l, _ in p.covers:
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for u, l, rect in p.covers:
         adjacent[u].append(l)
         adjacent[l].append(u)
+        coeff = 1
+        if table is not None:
+            x, _ = p._split(p.elements[u])
+            coeff = signs.sign(table.gen_index[x], table.rect_id(rect))
+        rows[u].append((l, coeff))
+
     seen = [False] * m
-    comps: list[list[int]] = []
+    out = []
     for start in range(m):
         if seen[start]:
             continue
@@ -216,28 +192,12 @@ def components(p: GridPoset, coefficients: str = "F2",
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        comps.append(sorted(comp))
-
-    table = move_table(p.grid) if coefficients == "Z" else None
-    out = []
-    for comp in comps:
+        comp.sort()
         local = {v: i for i, v in enumerate(comp)}
-        edges: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
-        for u, l, rect in p.covers:
-            if u in local:
-                if coefficients == "Z":
-                    x = p.elements[u] if p.mode == "hat" else p.elements[u][0]
-                    gi = table.gen_index[x]
-                    rid = table._rect_ids[rect.key]
-                    coeff = signs.sign(gi, rid)
-                else:
-                    coeff = 1
-                edges[u].append((local[l], coeff))
-        labels = [p.elements[v] for v in comp]
-        gradings = [(p.maslov[v], p.alexander) for v in comp]
-        diff = [edges[v] for v in comp]
         cc = ChainComplex(coefficients, p.mode, p.grid, p.truncation,
-                          labels, gradings, diff)
+                          [p.elements[v] for v in comp],
+                          [(p.maslov[v], p.alexander) for v in comp],
+                          [[(local[l], c) for l, c in rows[v]] for v in comp])
         out.append((len(comp), homology(cc)))
     return out
 

@@ -8,8 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gridhfk import Grid, parse_grid, serialize_grid, stabilize
+import pytest
+
+from conftest import GRANNY9
+from gridhfk import Grid, ResourceLimit, parse_grid, serialize_grid, stabilize
 from gridhfk.cli import main
+from gridhfk.complexes import MoveTable
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -218,7 +222,7 @@ def test_usage_errors_exit_1(capsys):
                  ["homology", UNKNOT, "--coefficients", "gf3"],
                  ["homology", UNKNOT, "--truncate", "3"],
                  ["poset", "stats", UNKNOT, "--version", "tilde"],
-                 ["homology", UNKNOT, "--threads", "0"]):
+                 ["check", "invariance", UNKNOT, "--threads", "0"]):
         rc, out, err = run(capsys, argv)
         assert rc == 1, argv
         assert out == ""
@@ -298,8 +302,9 @@ def test_identical_runs_are_byte_identical(capsys):
 
 
 def test_threads_do_not_change_output(capsys):
-    rc1, out1, _ = run(capsys, ["homology", TREFOIL, "--threads", "1"])
-    rc2, out2, _ = run(capsys, ["homology", TREFOIL, "--threads", "3"])
+    argv = ["check", "invariance", TREFOIL, "--moves", "2", "--seed", "5"]
+    rc1, out1, _ = run(capsys, argv + ["--threads", "1"])
+    rc2, out2, _ = run(capsys, argv + ["--threads", "3"])
     assert (rc1, rc2) == (0, 0)
     assert out1 == out2
 
@@ -335,3 +340,13 @@ def test_memory_ceiling_subprocess_exit_3():
     assert proc.returncode == 3
     data = json.loads(proc.stderr)
     assert data["error"]["kind"] == "resource"
+
+
+def test_move_table_refused_over_address_space_limit(monkeypatch):
+    """Under a 150 MB RLIMIT_AS the n = 9 table is refused before any work."""
+    import resource
+
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda kind: (150 << 20, resource.RLIM_INFINITY))
+    with pytest.raises(ResourceLimit, match="address-space limit"):
+        MoveTable(GRANNY9)

@@ -1,11 +1,13 @@
 """Homology engine: block ranks, Smith form, hat extraction."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 from gridhfk.complexes import ChainComplex, build_tilde_complex
-from gridhfk.errors import InexactDivision
+from gridhfk.errors import InexactDivision, InvalidDifferential
 from gridhfk.grid import Grid, random_knot_grid
 from gridhfk.homology import (
     BigradedRanks,
@@ -178,11 +180,48 @@ def test_rank_bounded_by_block_dimension():
         assert 0 <= free <= dims[ma]
 
 
-def test_threaded_matches_serial():
-    rng = random.Random(19)
-    g = random_knot_grid(5, rng)
-    cx = build_tilde_complex(g)
-    assert homology(cx, threads=4).blocks == homology(cx).blocks
+# A term off the (M-1, A) block, and a chain x -> y -> z with d^2 != 0.
+CORRUPTED = {
+    "off_block": ChainComplex("F2", "tilde", UNKNOT2, None, ["x", "y"],
+                              [(0, 0), (0, 0)], [[(1, 1)], []]),
+    "d_squared": ChainComplex("Z", "tilde", UNKNOT2, None, ["x", "y", "z"],
+                              [(2, 0), (1, 0), (0, 0)],
+                              [[(1, 1)], [(2, 1)], []]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED))
+def test_corrupted_differential_raises(name):
+    with pytest.raises(InvalidDifferential):
+        homology(CORRUPTED[name])
+
+
+def test_corrupted_differential_raises_under_optimize():
+    """The guards are not asserts: ``python -O`` keeps them."""
+    script = (
+        "import sys\n"
+        "from gridhfk.complexes import ChainComplex\n"
+        "from gridhfk.errors import InvalidDifferential\n"
+        "from gridhfk.grid import Grid\n"
+        "from gridhfk.homology import homology\n"
+        "assert False, 'asserts must be stripped here'\n"
+    )
+    for name in sorted(CORRUPTED):
+        cx = CORRUPTED[name]
+        script += (
+            f"cx = ChainComplex({cx.coefficients!r}, 'tilde', "
+            f"Grid(2, (0, 1), (1, 0)), None, {cx.labels!r}, "
+            f"{cx.gradings!r}, {cx.diff!r})\n"
+            "try:\n"
+            "    homology(cx)\n"
+            "except InvalidDifferential:\n"
+            "    pass\n"
+            "else:\n"
+            "    sys.exit(1)\n"
+        )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_extract_hat_unknot():

@@ -113,6 +113,17 @@ def test_minus_covers_equal_complex_entries():
     assert poset_edges == complex_edges
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_hat_posets_are_minus_posets_at_d1(n):
+    g = random_knot_grid(n, random.Random(43 + n))
+    assert alexander_range(g) == alexander_range(g, "minus", 1)
+    for a in alexander_range(g):
+        hat, minus = build_poset(g, a), build_poset(g, a, "minus", 1)
+        assert list(minus.elements) == [(x, (0,) * n) for x in hat.elements]
+        assert minus.maslov == hat.maslov
+        assert minus.covers == hat.covers
+
+
 def test_covers_raise_grading_by_one():
     for p in all_posets(TREFOIL5) + all_posets(UNKNOT3, "minus", truncation=2):
         for u, l, _ in p.covers:

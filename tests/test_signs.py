@@ -105,3 +105,22 @@ def test_z_ranks_match_f2_on_small_knots():
         assert not z.has_torsion
         assert {ma: f for ma, (f, _) in z.blocks.items()} == \
             {ma: f for ma, (f, _) in f2.blocks.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tilde_complex_is_minus_at_d1(n):
+    """The tilde complex is the minus complex with every U set to zero."""
+    g = random_knot_grid(n, random.Random(41 + n))
+    table = move_table(g)
+    marking_free = [
+        [j for rid, j in row
+         if not table.rects[rid].x_rows and not table.rects[rid].o_rows]
+        for row in table.moves]
+    for coeff, signs in (("F2", None), ("Z", solve_signs(g))):
+        tilde = build_tilde_complex(g, coeff, signs)
+        minus = build_minus_complex(g, 1, coeff, signs)
+        assert [[j for j, _ in row] for row in tilde.diff] == marking_free
+        assert [(x, k) for x, k in minus.labels] == \
+            [(x, (0,) * n) for x in tilde.labels]
+        assert minus.gradings == tilde.gradings
+        assert minus.diff == tilde.diff
