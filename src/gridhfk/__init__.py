@@ -9,6 +9,7 @@ from .errors import (
     IllegalCommutation,
     InexactDivision,
     InvalidDifferential,
+    InvalidHomology,
     NonIntegralAlexander,
     NotDestabilizable,
     OverflowGuard,

@@ -17,6 +17,9 @@ reach ``d`` (the quotient by the subcomplex such terms span, so the
 differential still squares to zero).  That is the truncated minus
 complex.  The tilde complex is its ``d = 1`` truncation, where only the
 rectangles meeting no marking at all survive, on bare generator labels.
+The builder reads the move table of just the class it counts: X-free
+rectangles for ``d > 1``, marking-free ones at ``d = 1``.  The sign
+solver alone reads the table of every empty rectangle.
 """
 
 from __future__ import annotations
@@ -55,11 +58,15 @@ DEFAULT_MAX_ELEMENTS = 200_000
 
 def enumerate_generators(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> list[Generator]:
     """All n! generators in lexicographic order."""
+    _check_grid_size(g, max_grid)
+    return list(itertools.permutations(range(g.n)))
+
+
+def _check_grid_size(g: Grid, max_grid: int) -> None:
     if g.n > max_grid:
         raise ResourceLimit(
             f"grid size {g.n} exceeds the ceiling {max_grid} "
             f"({factorial(g.n)} generators); raise max_grid to proceed")
-    return list(itertools.permutations(range(g.n)))
 
 
 def gen_to_colstring(x: Generator) -> str:
@@ -112,72 +119,117 @@ class Rectangle:
         return (self.col, self.row, self.width, self.height)
 
 
-def _col_inside(col: int, a: int, w: int, n: int) -> bool:
-    return 0 < (col - a) % n < w
+_MOVE_CLASSES = ("", "X", "XO")
 
 
 class MoveTable:
-    """Every empty rectangle out of every generator, built once per grid.
+    """The empty rectangles of one class out of every generator.
 
-    ``moves[i]`` lists ``(rect_id, target_generator_id)`` pairs; ``rects``
-    holds the distinct rectangles.  X- and O-avoiding subsets are what the
-    differentials read off; the sign solver consumes the whole table.
+    ``cls`` names the markings a rectangle of the table may not cover:
+    ``""`` keeps every empty rectangle (the sign solver reads them all),
+    ``"X"`` the X-free ones the minus differential counts, and ``"XO"``
+    the marking-free ones of the tilde differential.  ``moves[i]`` lists
+    ``(rect_id, target_generator_id)`` pairs, ordered by the two rows the
+    rectangle swaps (lower row, then upper row, the rectangle whose
+    lower-left corner sits on the lower row first), so each class is the
+    full table filtered to it.  ``rects`` holds every rectangle of the grid
+    in ``(col, row, width, height)`` order, so ids agree between classes.
+
+    Out of generator ``x``, the rectangles with lower-left corner ``x[b]``
+    are found by one scan upward over the heights, carrying the nearest
+    point column met so far (the interior must stay left of it) and the
+    per-grid room for the class (the widest span of columns from ``x[b]``
+    whose rows hold no marking of the class); the scan stops when either
+    leaves no width.
     """
 
-    def __init__(self, g: Grid, max_grid: int = DEFAULT_MAX_GRID):
-        self.grid = g
+    def __init__(self, g: Grid, max_grid: int = DEFAULT_MAX_GRID,
+                 cls: str = ""):
+        if cls not in _MOVE_CLASSES:
+            raise ValueError(f"unknown rectangle class {cls!r}")
         n = g.n
-        _check_address_space(n)
+        _check_address_space(n, cls)
+        self.grid = g
         self.gens = enumerate_generators(g, max_grid)
-        self.gen_index = {x: i for i, x in enumerate(self.gens)}
-        self.rects: list[Rectangle] = []
-        self._rect_ids: dict[tuple[int, int, int, int], int] = {}
-        self.moves: list[list[tuple[int, int]]] = []
+        gen_index = self.gen_index = {x: i for i, x in enumerate(self.gens)}
         x_cols, o_cols = g.x_cols, g.o_cols
-
-        def intern(a: int, b: int, w: int, h: int) -> int:
-            rid = self._rect_ids.get((a, b, w, h))
-            if rid is None:
-                rows = [(b + dr) % n for dr in range(h)]
-                xs = tuple(r for r in rows if (x_cols[r] - a) % n < w)
-                os_ = tuple(r for r in rows if (o_cols[r] - a) % n < w)
-                rid = len(self.rects)
-                self.rects.append(Rectangle(n, a, b, w, h, xs, os_))
-                self._rect_ids[(a, b, w, h)] = rid
-            return rid
-
+        self.rects: list[Rectangle] = []
+        sides = range(1, n)
+        for a, b, w, h in itertools.product(range(n), range(n), sides, sides):
+            rows = [(b + dr) % n for dr in range(h)]
+            xs = tuple(r for r in rows if (x_cols[r] - a) % n < w)
+            os_ = tuple(r for r in rows if (o_cols[r] - a) % n < w)
+            self.rects.append(Rectangle(n, a, b, w, h, xs, os_))
+        scans = _scans(g, cls)
+        self.moves: list[list[tuple[int, int]]] = []
         for x in self.gens:
-            out: list[tuple[int, int]] = []
-            for r1 in range(n):
-                c1 = x[r1]
-                for r2 in range(r1 + 1, n):
-                    c2 = x[r2]
-                    y = list(x)
-                    y[r1], y[r2] = c2, c1
-                    yid = self.gen_index[tuple(y)]
-                    for (a, b, w, h) in (
-                        (c1, r1, (c2 - c1) % n, (r2 - r1) % n),
-                        (c2, r2, (c1 - c2) % n, (r1 - r2) % n),
-                    ):
-                        interior = True
-                        for dr in range(1, h):
-                            if _col_inside(x[(b + dr) % n], a, w, n):
-                                interior = False
-                                break
-                        if interior:
-                            out.append((intern(a, b, w, h), yid))
-            self.moves.append(out)
+            found = []
+            for b, scan in enumerate(scans):
+                a = x[b]
+                bound = n
+                for t, cap, key, rid in scan[a]:
+                    if cap >= bound:
+                        if bound == 1:
+                            break
+                        cap = bound - 1
+                    c = x[t]
+                    w = (c - a) % n
+                    if w <= cap:
+                        y = list(x)
+                        y[b], y[t] = c, a
+                        found.append((key, rid + w * (n - 1),
+                                      gen_index[tuple(y)]))
+                    if w < bound:
+                        bound = w
+            found.sort()
+            self.moves.append([(rid, j) for _, rid, j in found])
 
     def rect_id(self, rect: Rectangle) -> int:
-        return self._rect_ids[rect.key]
+        n, m = rect.n, rect.n - 1
+        return ((rect.col * n + rect.row) * m + rect.width - 1) * m \
+            + rect.height - 1
 
 
-def _check_address_space(n: int) -> None:
+def _scans(g: Grid, cls: str) -> list[list[list[tuple[int, int, int, int]]]]:
+    """Per-grid steps of the upward scan from a lower-left corner.
+
+    ``scans[b][a]`` lists, for each height h whose rows ``b..b+h-1`` leave
+    room from column ``a`` for a rectangle covering no marking of the
+    class, the tuple ``(top row, widest such width, sort key, id of the
+    width-0 rectangle)``; a rectangle's id is the last plus ``width *
+    (n - 1)``.  The sort key orders the two rows a move swaps, lower row
+    first, then the rectangle whose corner sits on the lower row first.
+    """
+    n = g.n
+    m = n - 1
+    marks = [cols for name, cols in (("X", g.x_cols), ("O", g.o_cols))
+             if name in cls]
+    scans = []
+    for b in range(n):
+        by_col = []
+        for a in range(n):
+            steps, room = [], n
+            for h in range(1, n):
+                r = (b + h - 1) % n
+                room = min([room] + [(cols[r] - a) % n for cols in marks])
+                if room == 0:
+                    break
+                t = (b + h) % n
+                key = (t * n + b) * 2 + 1 if t < b else (b * n + t) * 2
+                steps.append((t, room, key, (a * n + b) * m * m - m + h - 1))
+            by_col.append(steps)
+        scans.append(by_col)
+    return scans
+
+
+def _check_address_space(n: int, cls: str = "") -> None:
     """Refuse a move table that cannot fit under the RLIMIT_AS soft limit.
 
-    The bound is a floor: the n! generator tuples, plus the n height-one
-    rectangles out of each generator, which are always empty, each stored
-    as a (rect_id, target) pair in its row list.
+    The bound is a floor: the n! generator tuples and, for the full table,
+    the n height-one rectangles out of each generator, which are always
+    empty, each stored as a (rect_id, target) pair in its row list.  A
+    height-one rectangle can cover a marking, so a class table is only
+    sure to hold the generators.
     """
     try:
         import resource
@@ -186,17 +238,31 @@ def _check_address_space(n: int) -> None:
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft == resource.RLIM_INFINITY:
         return
-    move = sys.getsizeof((0, 0)) + sys.getsizeof([0]) - sys.getsizeof([])
-    need = factorial(n) * (sys.getsizeof(tuple(range(n))) + n * move)
+    per_gen = sys.getsizeof(tuple(range(n)))
+    if not cls:
+        per_gen += n * (sys.getsizeof((0, 0)) + sys.getsizeof([0])
+                        - sys.getsizeof([]))
+    need = factorial(n) * per_gen
     if need > soft:
         raise ResourceLimit(
             f"the move table of a {n}x{n} grid needs over {need >> 20} MiB, "
             f"above the address-space limit of {soft >> 20} MiB")
 
 
+def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID,
+               cls: str = "") -> MoveTable:
+    """The grid's table of class ``cls``, built once and shared.
+
+    ``max_grid`` only gates the build, so it is checked here and left out
+    of the cache key: every call for one grid and class gets one table.
+    """
+    _check_grid_size(g, max_grid)
+    return _cached_table(g, cls)
+
+
 @lru_cache(maxsize=8)
-def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> MoveTable:
-    return MoveTable(g, max_grid)
+def _cached_table(g: Grid, cls: str) -> MoveTable:
+    return MoveTable(g, g.n, cls)
 
 
 def rect_moves_from(g: Grid, x: Generator) -> list[tuple[Rectangle, Generator]]:
@@ -392,6 +458,15 @@ def _unit(gen_id: int, rect_id: int) -> int:
     return 1
 
 
+def _term_class(d: int) -> str:
+    """Rectangle class a differential truncated at ``d`` counts.
+
+    An O bump at d = 1 always reaches the bound, so only the
+    marking-free rectangles give terms there.
+    """
+    return "XO" if d == 1 else "X"
+
+
 def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
                   max_elements: int | None,
                   alexander_grading: int | None = None):
@@ -402,12 +477,13 @@ def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
     set, only the elements of that grading, which the differential
     preserves.  The terms come from the rectangles meeting no X; a term
     is dropped when an exponent it bumps would reach ``d``, so at d = 1
-    only the rectangles meeting no marking remain.  Row ``i`` lists
+    only the rectangles meeting no marking remain, and only that class
+    of the move table is read.  Row ``i`` lists
     ``(j, entry(gen_id, rect_id))`` for each term from element i to j.
     """
     if d < 1:
         raise ValueError(f"truncation bound must be positive, got {d}")
-    table = move_table(g, max_grid)
+    table = move_table(g, max_grid, _term_class(d))
     gens, moves, rects = table.gens, table.moves, table.rects
     n = g.n
     size = d ** n
@@ -438,12 +514,9 @@ def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
         k = exps[e]
         row = []
         for rid, j in moves[i]:
-            rect = rects[rid]
-            if rect.x_rows:
-                continue
             if size > 1:  # at d = 1 the target is the move's own int
                 j = j * size + e
-            for r in rect.o_rows:
+            for r in rects[rid].o_rows:
                 if k[r] == d - 1:
                     break
                 j += step[r]

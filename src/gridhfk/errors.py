@@ -18,6 +18,7 @@ __all__ = [
     "InexactDivision",
     "InvalidDifferential",
     "AsymmetryDetected",
+    "InvalidHomology",
     "EmptyInterval",
 ]
 
@@ -82,6 +83,14 @@ class InvalidDifferential(ArithmeticError):
 
 class AsymmetryDetected(ArithmeticError):
     """A quantity that must be symmetric under t -> 1/t is not."""
+
+
+class InvalidHomology(ArithmeticError):
+    """A hat table breaks a property every knot's has.
+
+    The hat homology of a knot is nonzero, and its top Alexander grading
+    is at least the degree of the Alexander polynomial.
+    """
 
 
 class EmptyInterval(ValueError):

@@ -15,7 +15,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import build_tilde_complex
-from .errors import AsymmetryDetected, IllegalCommutation, NotDestabilizable
+from .errors import (
+    AsymmetryDetected,
+    IllegalCommutation,
+    InvalidHomology,
+    NotDestabilizable,
+)
 from .grid import Grid, commute, destabilize, stabilize
 from .homology import BigradedRanks, extract_hat, homology
 from .signs import solve_signs
@@ -124,17 +129,20 @@ def alexander_polynomial(hat: BigradedRanks) -> AlexanderPolynomial:
 def genus(hat: BigradedRanks) -> int:
     """Highest Alexander grading carrying a nonzero group.
 
-    Also asserts the classical lower bound: the genus is at least the
-    degree of the Alexander polynomial.
+    Also checks the classical lower bound: the genus is at least the
+    degree of the Alexander polynomial.  Raises InvalidHomology when the
+    table is zero or breaks the bound.
     """
-    assert hat.total_rank > 0, "hat homology of a knot is never zero"
+    if hat.total_rank <= 0:
+        raise InvalidHomology("hat homology of a knot is never zero")
     top = max(a for (_, a), (free, torsion) in hat.blocks.items()
               if free or torsion)
     chi = _euler_by_alexander(hat)
     if hat.coefficients == "F2":
         chi = {a: c % 2 for a, c in chi.items() if c % 2}
     deg = max((abs(a) for a in chi), default=0)
-    assert top >= deg, f"genus {top} below polynomial degree {deg}"
+    if top < deg:
+        raise InvalidHomology(f"genus {top} below polynomial degree {deg}")
     return top
 
 

@@ -23,7 +23,9 @@ from .complexes import (
     ChainComplex,
     Rectangle,
     _differential,
+    _term_class,
     connecting_domain,
+    enumerate_generators,
     move_table,
 )
 from .errors import EmptyInterval
@@ -132,7 +134,7 @@ def build_poset(g: Grid, a: int, mode: str = "hat",
     """
     d = _truncation(mode, truncation)
     hat = mode == "hat"
-    rects = move_table(g, max_grid).rects
+    rects = move_table(g, max_grid, _term_class(d)).rects
     elements, gradings, rows = _differential(
         g, d, lambda i, rid: rects[rid], hat, max_grid,
         None if hat else max_elements, a)
@@ -152,7 +154,7 @@ def alexander_range(g: Grid, mode: str = "hat", truncation: int | None = None,
     below the plain generators, one step per exponent unit.
     """
     d = _truncation(mode, truncation)
-    vals = [alexander(g, x) for x in move_table(g, max_grid).gens]
+    vals = [alexander(g, x) for x in enumerate_generators(g, max_grid)]
     return range(min(vals) - g.n * (d - 1), max(vals) + 1)
 
 

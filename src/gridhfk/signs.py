@@ -202,22 +202,28 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
                 groups.setdefault(key, []).append(entry)
         for (k, mask), entries in groups.items():
             if k != i:
-                assert len(entries) == 2, \
-                    "index-2 composite without exactly two decompositions"
+                if len(entries) != 2:
+                    raise UnsatisfiableSigns(
+                        "index-2 composite without exactly two "
+                        "decompositions", certificate=("composite", entries))
                 (a1, a2, _), (b1, b2, _) = entries
                 emit((a1, a2, b1, b2), 1)
             else:
-                assert len(entries) == 1, \
-                    "thin annulus with a second decomposition"
+                if len(entries) != 1:
+                    raise UnsatisfiableSigns(
+                        "thin annulus with a second decomposition",
+                        certificate=("annulus", entries))
                 v1, v2, j = entries[0]
                 if i > j:
                     continue  # the same annulus is emitted from the partner
                 if mask in vertical:
                     emit((v1, v2), 1)
-                else:
-                    assert mask in horizontal, \
-                        "closed composite that is not a thin annulus"
+                elif mask in horizontal:
                     emit((v1, v2), 0)
+                else:
+                    raise UnsatisfiableSigns(
+                        "closed composite that is not a thin annulus",
+                        certificate=("annulus", entries))
 
     # Gauge: breadth-first spanning tree over the move graph, one move per
     # newly reached generator pinned to +1.
@@ -234,7 +240,10 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
                     seeds.append(var_of[(i, rid)])
                     nxt.append(j)
         frontier = nxt
-    assert all(seen), "move graph failed to reach every generator"
+    if not all(seen):
+        raise UnsatisfiableSigns(
+            "move graph failed to reach every generator",
+            certificate=("unreached", seen.index(0)))
 
     values = _propagate(nvars, cons_vars, cons_off, parity, seeds)
     _eliminate_residual(values, cons_vars, cons_off, parity)

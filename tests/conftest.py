@@ -37,3 +37,7 @@ GRANNY9 = Grid(9, (3, 4, 0, 1, 2, 5, 6, 7, 8), (0, 1, 2, 3, 6, 7, 8, 4, 5))
 # Unknot # trefoil: same knot as the trefoil, different grid.  Its hat
 # homology must match TREFOIL5's exactly.
 COMPOSITE6 = Grid(6, (1, 0, 2, 3, 4, 5), (0, 3, 4, 5, 1, 2))
+
+# Seeded random knot at grid size 8 (40320 generators).  Hat homology
+# over F2: one group at (M, A) = (0, 0).
+KNOT8 = Grid(8, (6, 4, 3, 1, 5, 0, 7, 2), (0, 1, 7, 6, 2, 3, 5, 4))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import KNOT8, TREFOIL5
 from gridhfk.complexes import connecting_domain, enumerate_generators, rect_moves_from
 from gridhfk.errors import NonIntegralAlexander
 from gridhfk.gradings import (
@@ -64,12 +65,22 @@ def _alexander_reference(g, x):
 
 
 def test_gradings_match_pairing_reference():
+    """The per-grid tables agree with the J pairing on every generator."""
     rng = random.Random(21)
-    grids = [UNKNOT2, random_knot_grid(3, rng), random_knot_grid(4, rng)]
+    grids = [UNKNOT2, random_knot_grid(3, rng), random_knot_grid(4, rng),
+             TREFOIL5] + [random_knot_grid(n, rng) for n in (3, 4, 5, 5)]
     for g in grids:
         for x in enumerate_generators(g):
             assert _maslov_reference(g, x) == maslov(g, x)
             assert _alexander_reference(g, x) == alexander(g, x)
+
+
+def test_gradings_match_pairing_reference_knot8():
+    rng = random.Random(8)
+    for _ in range(500):
+        x = tuple(rng.sample(range(8), 8))
+        assert maslov(KNOT8, x) == _maslov_reference(KNOT8, x)
+        assert alexander(KNOT8, x) == _alexander_reference(KNOT8, x)
 
 
 def test_alexander_non_integral_on_links():

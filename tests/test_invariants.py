@@ -4,8 +4,18 @@ import random
 
 import pytest
 
-from conftest import COMPOSITE6, FIG8, GRANNY9, TORUS34, TREFOIL5, TWIST52, UNKNOT2
-from gridhfk.errors import AsymmetryDetected
+from conftest import (
+    COMPOSITE6,
+    FIG8,
+    GRANNY9,
+    KNOT8,
+    TORUS34,
+    TREFOIL5,
+    TWIST52,
+    UNKNOT2,
+)
+from gridhfk.complexes import move_table
+from gridhfk.errors import AsymmetryDetected, InvalidHomology
 from gridhfk.grid import Grid, random_knot_grid
 from gridhfk.homology import BigradedRanks
 from gridhfk.invariants import (
@@ -287,3 +297,18 @@ def test_invariance_threaded_matches_serial():
     assert serial.ok and threaded.ok
     assert [t.blocks for t in serial.tables] == \
         [t.blocks for t in threaded.tables]
+
+
+@pytest.mark.parametrize("blocks", [
+    {},
+    {(0, 0): (1, ()), (-2, -2): (1, ())},
+], ids=["zero", "below_degree"])
+def test_genus_refuses_impossible_tables(blocks):
+    with pytest.raises(InvalidHomology):
+        genus(BigradedRanks("F2", blocks))
+
+
+def test_knot8_f2_hat():
+    """n = 8: the hat reads only the 131,520 marking-free moves of 836,352."""
+    assert hat_homology(KNOT8, "F2").blocks == {(0, 0): (1, ())}
+    assert sum(map(len, move_table(KNOT8, cls="XO").moves)) == 131_520

@@ -1,0 +1,127 @@
+"""Move tables: each rectangle class against the definition and the full table."""
+
+import random
+
+import pytest
+
+import gridhfk.complexes as complexes
+from conftest import FIG8, TORUS34, TREFOIL5, UNKNOT2
+from gridhfk.complexes import MoveTable, _check_address_space, move_table
+from gridhfk.errors import ResourceLimit
+from gridhfk.grid import random_knot_grid
+from gridhfk.poset import alexander_range, build_poset, components
+from gridhfk.signs import solve_signs
+
+_rng = random.Random(41)
+GRIDS = [UNKNOT2, TREFOIL5, FIG8, TORUS34] + [
+    random_knot_grid(n, _rng) for n in (3, 4, 4, 5, 5, 6, 6)]
+IDS = [f"n{g.n}-{k}" for k, g in enumerate(GRIDS)]
+
+
+def _reference_moves(g, x):
+    """Empty rectangles out of ``x`` straight from the definition.
+
+    For each pair of rows, lower first, the rectangle with its lower-left
+    corner on the lower row, then the one wrapping from the upper row; a
+    rectangle counts when no point of ``x`` lies strictly inside it.
+    """
+    n = g.n
+    out = []
+    for r1 in range(n):
+        for r2 in range(r1 + 1, n):
+            c1, c2 = x[r1], x[r2]
+            y = list(x)
+            y[r1], y[r2] = c2, c1
+            for a, b, w, h in ((c1, r1, (c2 - c1) % n, r2 - r1),
+                               (c2, r2, (c1 - c2) % n, n - (r2 - r1))):
+                inside = {((b + dr) % n, (a + dc) % n)
+                          for dr in range(1, h) for dc in range(1, w)}
+                if not any((r, c) in inside for r, c in enumerate(x)):
+                    out.append(((a, b, w, h), tuple(y)))
+    return out
+
+
+def _keeps(cls, rect):
+    return not ("X" in cls and rect.x_rows or "O" in cls and rect.o_rows)
+
+
+@pytest.mark.parametrize("g", [g for g in GRIDS if g.n <= 6],
+                         ids=[i for g, i in zip(GRIDS, IDS) if g.n <= 6])
+def test_full_table_matches_definition(g):
+    table = move_table(g)
+    for i, x in enumerate(table.gens):
+        got = [(table.rects[rid].key, table.gens[j])
+               for rid, j in table.moves[i]]
+        assert got == _reference_moves(g, x)
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=IDS)
+def test_class_tables_are_the_full_table_filtered(g):
+    full = move_table(g)
+    n = g.n
+    for rid, rect in enumerate(full.rects):
+        rows = [(rect.row + dr) % n for dr in range(rect.height)]
+        for cols, got in ((g.x_cols, rect.x_rows), (g.o_cols, rect.o_rows)):
+            assert got == tuple(
+                r for r in rows if (cols[r] - rect.col) % n < rect.width)
+        assert full.rect_id(rect) == rid
+    for cls in ("X", "XO"):
+        table = move_table(g, cls=cls)
+        assert table.gens == full.gens
+        assert [(r, r.x_rows, r.o_rows) for r in table.rects] == \
+            [(r, r.x_rows, r.o_rows) for r in full.rects]
+        for row, full_row in zip(table.moves, full.moves):
+            assert row == [(rid, j) for rid, j in full_row
+                           if _keeps(cls, full.rects[rid])]
+
+
+def test_unknown_class_refused():
+    with pytest.raises(ValueError, match="class"):
+        MoveTable(UNKNOT2, cls="O")
+
+
+def test_one_cache_entry_per_table():
+    table = move_table(TREFOIL5)
+    assert move_table(TREFOIL5, 9) is table
+    assert move_table(TREFOIL5, max_grid=9) is table
+    assert move_table(TREFOIL5, 5) is table
+    assert move_table(TREFOIL5, cls="XO") is move_table(TREFOIL5, 9, "XO")
+    assert move_table(TREFOIL5, cls="XO") is not table
+    with pytest.raises(ResourceLimit, match="ceiling"):
+        move_table(TREFOIL5, 4)
+
+
+def test_z_poset_components_reuse_the_sign_table(monkeypatch):
+    builds = []
+
+    class Counting(MoveTable):
+        def __init__(self, g, max_grid, cls=""):
+            builds.append(cls)
+            super().__init__(g, max_grid, cls)
+
+    g = random_knot_grid(4, random.Random(7))
+    monkeypatch.setattr(complexes, "MoveTable", Counting)
+    complexes._cached_table.cache_clear()
+    try:
+        signs = solve_signs(g)
+        for a in alexander_range(g):
+            components(build_poset(g, a), "Z", signs)
+        assert builds == ["", "XO"]
+    finally:
+        complexes._cached_table.cache_clear()
+
+
+def test_address_space_floor_per_class(monkeypatch):
+    """At n = 9 the full floor is about 238 MiB, the generators alone 39."""
+    import resource
+
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda kind: (100 << 20, resource.RLIM_INFINITY))
+    with pytest.raises(ResourceLimit, match="address-space limit"):
+        _check_address_space(9, "")
+    _check_address_space(9, "X")
+    _check_address_space(9, "XO")
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda kind: (30 << 20, resource.RLIM_INFINITY))
+    with pytest.raises(ResourceLimit, match="address-space limit"):
+        _check_address_space(9, "XO")

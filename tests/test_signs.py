@@ -1,6 +1,8 @@
 """Sign solver: annulus products, square rule via d^2, gauge moves."""
 
 import random
+import subprocess
+import sys
 from array import array
 
 import pytest
@@ -124,3 +126,31 @@ def test_tilde_complex_is_minus_at_d1(n):
             [(x, (0,) * n) for x in tilde.labels]
         assert minus.gradings == tilde.gradings
         assert minus.diff == tilde.diff
+
+
+def test_dropped_move_raises_under_optimize():
+    """The sign solver's guards are not asserts: ``python -O`` keeps them.
+
+    Dropping one move from the table leaves every index-2 composite
+    through it with a single decomposition.
+    """
+    script = (
+        "import sys\n"
+        "from gridhfk.complexes import move_table\n"
+        "from gridhfk.errors import UnsatisfiableSigns\n"
+        "from gridhfk.grid import Grid\n"
+        "from gridhfk.signs import solve_signs\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "g = Grid(5, (0, 1, 2, 3, 4), (2, 3, 4, 0, 1))\n"
+        "move_table(g).moves[7].pop()\n"
+        "try:\n"
+        "    solve_signs(g)\n"
+        "except UnsatisfiableSigns as exc:\n"
+        "    print(exc.certificate[0])\n"
+        "else:\n"
+        "    sys.exit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "composite"
