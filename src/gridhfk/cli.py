@@ -22,6 +22,7 @@ and seed produce byte-identical bytes on stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -466,7 +467,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Parse ``argv`` (no program name) and execute; returns the exit code."""
+    """Parse ``argv`` (no program name) and execute; returns the exit code.
+
+    The cycle collector is off while the command runs.  A command fills
+    the heap with millions of acyclic tuples and lists (generators, move
+    rows, matrix rows), which reference counting frees; each full
+    collection would only walk them all again, at a cost that grows with
+    the heap and swings with memory traffic.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     json_mode = "--json" in argv
     try:
         _apply_memory_ceiling()

@@ -418,16 +418,25 @@ class ChainComplex:
         return out
 
     def d_squared(self) -> dict[tuple[int, int], int]:
-        """Nonzero entries of the squared differential (empty means d^2=0)."""
-        acc: dict[tuple[int, int], int] = {}
-        for i, row in enumerate(self.diff):
+        """Nonzero entries of the squared differential (empty means d^2=0).
+
+        Accumulated one source row at a time, so only that row's paths of
+        length two are held at once.
+        """
+        diff = self.diff
+        modulus = 2 if self.coefficients == "F2" else 0
+        out: dict[tuple[int, int], int] = {}
+        for i, row in enumerate(diff):
+            acc: dict[int, int] = {}
             for j, cj in row:
-                for k, ck in self.diff[j]:
-                    key = (i, k)
-                    acc[key] = acc.get(key, 0) + cj * ck
-        if self.coefficients == "F2":
-            return {k: v % 2 for k, v in acc.items() if v % 2}
-        return {k: v for k, v in acc.items() if v}
+                for k, ck in diff[j]:
+                    acc[k] = acc.get(k, 0) + cj * ck
+            for k, v in acc.items():
+                if modulus:
+                    v %= modulus
+                if v:
+                    out[(i, k)] = v
+        return out
 
 
 def build_tilde_complex(g: Grid, coefficients: str = "F2", signs=None,

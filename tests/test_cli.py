@@ -32,6 +32,27 @@ def run(capsys, argv):
 
 # ------------------------------------------------------------- happy paths
 
+def test_cycle_collector_paused_during_a_command_and_restored(capsys,
+                                                               monkeypatch):
+    import gc
+
+    import gridhfk.cli as cli
+
+    seen = []
+    real = cli._cmd_alexander
+    monkeypatch.setattr(cli, "_cmd_alexander",
+                        lambda args: seen.append(gc.isenabled()) or real(args))
+    assert gc.isenabled()
+    assert run(capsys, ["alexander", TREFOIL])[0] == 0
+    assert seen == [False] and gc.isenabled()
+    gc.disable()
+    try:
+        assert run(capsys, ["alexander", TREFOIL])[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_alexander_trefoil_exact_output(capsys):
     rc, out, err = run(capsys, ["alexander", TREFOIL])
     assert rc == 0

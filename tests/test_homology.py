@@ -190,6 +190,19 @@ CORRUPTED = {
 }
 
 
+def test_d_squared_lists_each_nonzero_entry():
+    """Paths x -> y -> z and x -> w -> z: Z keeps their sum, F2 cancels it."""
+    diff = [[(1, 1), (2, 1)], [(3, 1)], [(3, 1)], [(4, 2)], []]
+    gradings = [(3, 0), (2, 0), (2, 0), (1, 0), (0, 0)]
+    labels = ["x", "y", "w", "z", "v"]
+    over_z = ChainComplex("Z", "tilde", UNKNOT2, None, labels, gradings, diff)
+    over_f2 = ChainComplex("F2", "tilde", UNKNOT2, None, labels, gradings,
+                           diff)
+    assert over_z.d_squared() == {(0, 3): 2, (1, 4): 2, (2, 4): 2}
+    assert over_f2.d_squared() == {}
+    assert CORRUPTED["d_squared"].d_squared() == {(0, 2): 1}
+
+
 @pytest.mark.parametrize("name", sorted(CORRUPTED))
 def test_corrupted_differential_raises(name):
     with pytest.raises(InvalidDifferential):
