@@ -148,10 +148,6 @@ def _coefficients(args) -> str:
     return {"f2": "F2", "z": "Z"}[choice]
 
 
-def _grid_json(g: Grid) -> dict:
-    return {"n": g.n, "x_cols": list(g.x_cols), "o_cols": list(g.o_cols)}
-
-
 def _group_str(coeff: str, free: int, torsion: tuple[int, ...]) -> str:
     base = "F2" if coeff == "F2" else "Z"
     parts = []
@@ -211,7 +207,7 @@ def _cmd_homology(args) -> int:
         "version": version,
         "coefficients": coeff,
         "truncation": truncation,
-        "grid": _grid_json(g),
+        "grid": g.to_json_dict(),
         "blocks": ranks.to_json_list(),
         "total_rank": ranks.total_rank,
     })
@@ -230,7 +226,7 @@ def _cmd_alexander(args) -> int:
     text = str(poly) + ("  (coefficients mod 2)" if poly.mod2 else "")
     _print(args, [text], {
         "command": "alexander",
-        "grid": _grid_json(g),
+        "grid": g.to_json_dict(),
         "polynomial": str(poly),
         "coefficients": [[a, c] for a, c in poly.coeffs],
         "mod2": poly.mod2,
@@ -243,7 +239,7 @@ def _cmd_genus(args) -> int:
     g, hat = _hat_for(args)
     value = genus(hat)
     _print(args, [str(value)], {
-        "command": "genus", "grid": _grid_json(g), "genus": value,
+        "command": "genus", "grid": g.to_json_dict(), "genus": value,
     })
     return EXIT_OK
 
@@ -252,7 +248,7 @@ def _cmd_fibered(args) -> int:
     g, hat = _hat_for(args)
     value = fibered(hat)
     _print(args, ["true" if value else "false"], {
-        "command": "fibered", "grid": _grid_json(g), "fibered": value,
+        "command": "fibered", "grid": g.to_json_dict(), "fibered": value,
     })
     return EXIT_OK
 
@@ -313,11 +309,10 @@ def _cmd_check_invariance(args) -> int:
     g = load_grid(args.grid)
     coeff = _coefficients(args)
     report = check_invariance(g, args.moves, seed=args.seed,
-                              coefficients=coeff, threads=args.threads,
-                              max_grid=args.max_grid)
+                              coefficients=coeff, max_grid=args.max_grid)
     _print(args, [report.summary()], {
         "command": "check-invariance",
-        "grid": _grid_json(g),
+        "grid": g.to_json_dict(),
         "coefficients": coeff,
         "seed": args.seed,
         "moves": [list(m) for m in report.moves],
@@ -342,7 +337,7 @@ def _cmd_check_signs(args) -> int:
         f"constraints), d^2 {'=' if ok else '!='} 0 over Z")
     _print(args, [summary], {
         "command": "check-signs",
-        "grid": _grid_json(g),
+        "grid": g.to_json_dict(),
         "variables": signs.n_variables,
         "constraints": signs.n_constraints,
         "d_squared_zero": ok,
@@ -366,7 +361,7 @@ def _cmd_moves(args) -> int:
     _print(args, [serialize_grid(out).rstrip("\n")], {
         "command": "moves",
         "move": list(move),
-        "grid": _grid_json(out),
+        "grid": out.to_json_dict(),
     })
     return EXIT_OK
 
@@ -432,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random legal moves (default 4)")
     p.add_argument("--seed", type=int, default=0,
                    help="move sampling seed (default 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads over the grids of the sequence")
     p.set_defaults(func=_cmd_check_invariance)
 
     p = check_sub.add_parser("signs",
@@ -489,8 +482,6 @@ def _run(argv) -> int:
     try:
         _apply_memory_ceiling()
         args = build_parser().parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("--threads must be >= 1")
         return args.func(args)
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc), json_mode)

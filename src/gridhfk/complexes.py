@@ -411,12 +411,6 @@ class ChainComplex:
     gradings: list[tuple[int, int]]
     diff: list[list[tuple[int, int]]]
 
-    def blocks(self) -> dict[tuple[int, int], list[int]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for i, ma in enumerate(self.gradings):
-            out.setdefault(ma, []).append(i)
-        return out
-
     def d_squared(self) -> dict[tuple[int, int], int]:
         """Nonzero entries of the squared differential (empty means d^2=0).
 

@@ -78,7 +78,12 @@ class InexactDivision(ArithmeticError):
 
 
 class InvalidDifferential(ArithmeticError):
-    """A differential term leaves its (M-1, A) block, or d^2 is not zero."""
+    """A differential breaks a property the grid complex must have.
+
+    A term leaves its (M-1, A) block, d^2 is not zero, or two poset
+    elements joined by a chain of covers (differential terms) have no
+    positive domain between them.
+    """
 
 
 class AsymmetryDetected(ArithmeticError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import build_tilde_complex
@@ -234,8 +233,7 @@ class InvarianceReport:
                 f"got {dict(sorted(self.tables[i].blocks.items()))}")
 
 
-def check_invariance(g: Grid, moves, seed: int = 0,
-                     coefficients: str = "F2", threads: int = 1,
+def check_invariance(g: Grid, moves, seed: int = 0, coefficients: str = "F2",
                      max_grid: int = 7) -> InvarianceReport:
     """Replay moves on ``g`` and verify the hat table never changes.
 
@@ -264,14 +262,8 @@ def check_invariance(g: Grid, moves, seed: int = 0,
     for mv in descriptors:
         grids.append(apply_move(grids[-1], mv))
 
-    def table(h: Grid) -> BigradedRanks:
-        return hat_homology(h, coefficients, max_grid=max(max_grid, h.n))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tables = list(pool.map(table, grids))
-    else:
-        tables = [table(h) for h in grids]
+    tables = [hat_homology(h, coefficients, max_grid=max(max_grid, h.n))
+              for h in grids]
 
     divergence = None
     for i in range(1, len(tables)):

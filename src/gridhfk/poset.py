@@ -3,11 +3,15 @@
 Generators of a fixed Alexander grading are partially ordered by the
 existence of a positive connecting domain with prescribed marking
 multiplicities.  Covering relations are realized by empty rectangles and
-coincide with the boundary matrix of the corresponding chain complex.
-On top of the order this module provides interval extraction, the
-graded boundary maps of the spectral tower, connected components with
-their homology, and the edge-lexicographic labeling used to certify
-shellability of closed intervals.
+coincide with the boundary matrix of the corresponding chain complex,
+and the order is their reflexive-transitive closure: that is how it is
+computed, once per poset, as one bitset of lower elements per element.
+``connecting_domain`` stays the definition; here it only certifies the
+sampled intervals of ``poset_stats``.  On top of the order this module
+provides interval extraction, the graded boundary maps of the spectral
+tower, connected components with their homology, and the
+edge-lexicographic labeling used to certify shellability of closed
+intervals.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .complexes import (
     enumerate_generators,
     move_table,
 )
-from .errors import EmptyInterval
+from .errors import EmptyInterval, InvalidDifferential
 # maslov is called through complexes; perfbench wraps it under this name.
 from .gradings import alexander, maslov  # noqa: F401
 from .grid import Grid
@@ -73,9 +77,10 @@ class GridPoset:
     ``elements`` are generators in hat mode, or (generator, exponents)
     pairs in truncated minus mode.  ``covers`` lists (upper, lower,
     rectangle) index triples; the rectangle realizes the covering move.
-    The full order relation is decided on demand by ``leq``: for any two
-    elements there is at most one candidate domain with the required
-    marking multiplicities, so a single positivity check settles it.
+    y <= x when a positive domain with the required marking
+    multiplicities connects x to y; those are exactly the chains of
+    covers, so ``below[i]`` holds the closure: bit j is set when element
+    j is at or below element i.  Build posets with ``_make_poset``.
     """
 
     grid: Grid
@@ -85,31 +90,44 @@ class GridPoset:
     elements: tuple
     maslov: tuple[int, ...]
     covers: tuple[tuple[int, int, Rectangle], ...]
+    below: tuple[int, ...] = field(compare=False, repr=False)
     index: dict = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def grade(self, element) -> int:
-        return self.maslov[self.index[element]]
-
     def leq(self, y, x) -> bool:
         """True when y is below x (or equal): a positive domain connects them."""
-        yi, xi = self.index[y], self.index[x]
-        if yi == xi:
-            return True
-        if self.maslov[xi] <= self.maslov[yi]:
-            return False
-        (gx, fx), (gy, fy) = self._split(x), self._split(y)
-        o_counts = tuple(map(sub, fy, fx))
-        if min(o_counts) < 0:
-            return False
-        dom = connecting_domain(self.grid, gx, gy, "zero_XO", o_counts)
-        return dom is not None and dom.is_positive()
+        return bool(self.below[self.index[x]] >> self.index[y] & 1)
 
     def _split(self, element):
         """(generator, exponents) of an element; a hat element has U^0."""
         return (element, (0,) * self.grid.n) if self.mode == "hat" else element
+
+
+def _make_poset(g: Grid, mode: str, truncation: int | None, a: int,
+                elements, maslov, covers) -> GridPoset:
+    """A poset with its order closed over the covers.
+
+    A cover lowers the grading, so taking covers in the order of their
+    upper grading, each lower down-set is complete when it is merged
+    into the upper one.
+    """
+    below = [1 << i for i in range(len(elements))]
+    for upper, lower, _ in sorted(covers, key=lambda c: maslov[c[0]]):
+        below[upper] |= below[lower]
+    return GridPoset(grid=g, mode=mode, truncation=truncation, alexander=a,
+                     elements=tuple(elements), maslov=tuple(maslov),
+                     covers=tuple(covers), below=tuple(below),
+                     index={e: i for i, e in enumerate(elements)})
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _truncation(mode: str, truncation: int | None) -> int:
@@ -138,12 +156,10 @@ def build_poset(g: Grid, a: int, mode: str = "hat",
     elements, gradings, rows = _differential(
         g, d, lambda i, rid: rects[rid], hat, max_grid,
         None if hat else max_elements, a)
-    covers = tuple((upper, lower, rect) for upper, row in enumerate(rows)
-                   for lower, rect in row)
-    return GridPoset(grid=g, mode=mode, truncation=truncation, alexander=a,
-                     elements=tuple(elements),
-                     maslov=tuple(m for m, _ in gradings), covers=covers,
-                     index={e: i for i, e in enumerate(elements)})
+    covers = [(upper, lower, rect) for upper, row in enumerate(rows)
+              for lower, rect in row]
+    return _make_poset(g, mode, truncation, a, elements,
+                       [m for m, _ in gradings], covers)
 
 
 def alexander_range(g: Grid, mode: str = "hat", truncation: int | None = None,
@@ -215,23 +231,16 @@ def interval(p: GridPoset, y, x, shape: str = "closed") -> GridPoset:
         raise ValueError(f"shape must be closed, open or half, got {shape!r}")
     if not p.leq(y, x):
         raise EmptyInterval(f"{y} is not below {x}")
-    members = []
-    for z in p.elements:
-        if not (p.leq(y, z) and p.leq(z, x)):
-            continue
-        if shape in ("open", "half") and z == y:
-            continue
-        if shape == "open" and z == x:
-            continue
-        members.append(z)
-    keep = {p.index[z] for z in members}
-    new_index = {z: i for i, z in enumerate(members)}
-    covers = tuple((new_index[p.elements[u]], new_index[p.elements[l]], rect)
-                   for u, l, rect in p.covers if u in keep and l in keep)
-    grades = tuple(p.maslov[p.index[z]] for z in members)
-    return GridPoset(grid=p.grid, mode=p.mode, truncation=p.truncation,
-                     alexander=p.alexander, elements=tuple(members),
-                     maslov=grades, covers=covers, index=new_index)
+    yi, xi = p.index[y], p.index[x]
+    dropped = {"closed": (), "half": (yi,), "open": (yi, xi)}[shape]
+    members = [z for z in _bits(p.below[xi])
+               if p.below[z] >> yi & 1 and z not in dropped]
+    local = {z: i for i, z in enumerate(members)}
+    covers = [(local[u], local[l], rect) for u, l, rect in p.covers
+              if u in local and l in local]
+    return _make_poset(p.grid, p.mode, p.truncation, p.alexander,
+                       [p.elements[z] for z in members],
+                       [p.maslov[z] for z in members], covers)
 
 
 def maximal_chains(p: GridPoset, y, x):
@@ -275,16 +284,10 @@ def del_tower(p: GridPoset, i: int) -> list[int]:
     """
     if i < 1:
         raise ValueError(f"tower index must be positive, got {i}")
-    m = len(p.elements)
-    rows = [0] * m
-    by_grade: dict[int, list[int]] = collections.defaultdict(list)
+    level: dict[int, int] = collections.defaultdict(int)
     for idx, g in enumerate(p.maslov):
-        by_grade[g].append(idx)
-    for xi in range(m):
-        for yi in by_grade.get(p.maslov[xi] - i, ()):
-            if p.leq(p.elements[yi], p.elements[xi]):
-                rows[xi] |= 1 << yi
-    return rows
+        level[g] |= 1 << idx
+    return [bits & level.get(g - i, 0) for bits, g in zip(p.below, p.maslov)]
 
 
 def tower_sum(p: GridPoset, k: int) -> list[int]:
@@ -299,13 +302,8 @@ def tower_sum(p: GridPoset, k: int) -> list[int]:
         upper = towers[j]
         lower = towers[k - j]
         for xi in range(m):
-            bits = upper[xi]
-            acc = 0
-            while bits:
-                low = bits & -bits
-                acc ^= lower[low.bit_length() - 1]
-                bits ^= low
-            out[xi] ^= acc
+            for yi in _bits(upper[xi]):
+                out[xi] ^= lower[yi]
     return out
 
 
@@ -353,11 +351,8 @@ def del2_lands_in_boundaries(p: GridPoset) -> bool:
 
     for combo in kernel:
         w = 0
-        bits = combo
-        while bits:
-            low = bits & -bits
-            w ^= d2[low.bit_length() - 1]
-            bits ^= low
+        for idx in _bits(combo):
+            w ^= d2[idx]
         if reduce(w):
             return False
     return True
@@ -412,6 +407,20 @@ def el_increasing_chain_check(p: GridPoset, y, x, ref_col: int | None = None,
 
 # ------------------------------------------------------------------- stats
 
+def _certify(p: GridPoset, yi: int, xi: int) -> None:
+    """Check y <= x from the definition: a positive connecting domain.
+
+    Raises InvalidDifferential when the closure of the covers relates a
+    pair that no positive domain joins.
+    """
+    (gx, fx), (gy, fy) = p._split(p.elements[xi]), p._split(p.elements[yi])
+    dom = connecting_domain(p.grid, gx, gy, "zero_XO", tuple(map(sub, fy, fx)))
+    if dom is None or not dom.is_positive():
+        raise InvalidDifferential(
+            f"covers relate {p.elements[yi]} below {p.elements[xi]} in "
+            f"Alexander grading {p.alexander}, but no positive domain joins them")
+
+
 def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
                 coefficients: str = "F2", signs=None, seed: int = 0,
                 max_intervals: int = 200, tower_k: int = 4,
@@ -448,15 +457,11 @@ def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
     odd_intervals = 0
     candidates = []
     for p in posets:
-        for xi in range(len(p)):
-            for yi in range(len(p)):
-                if p.maslov[xi] - p.maslov[yi] < 1 or yi == xi:
-                    continue
-                if not p.leq(p.elements[yi], p.elements[xi]):
-                    continue
+        for xi, x in enumerate(p.elements):
+            for yi in _bits(p.below[xi] ^ 1 << xi):
                 pairs += 1
                 length = p.maslov[xi] - p.maslov[yi]
-                inner = interval(p, p.elements[yi], p.elements[xi], "open")
+                inner = interval(p, p.elements[yi], x, "open")
                 if len(inner) % 2:
                     odd_intervals += 1
                 if 2 <= length <= 5:
@@ -468,12 +473,14 @@ def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
 
     rng.shuffle(candidates)
     sampled = candidates[:max_intervals]
+    for p, yi, xi in sampled:
+        _certify(p, yi, xi)
     el_failures = sum(
         1 for p, yi, xi in sampled
         if not el_increasing_chain_check(p, p.elements[yi], p.elements[xi]))
 
     return {
-        "grid": {"n": g.n, "x_cols": list(g.x_cols), "o_cols": list(g.o_cols)},
+        "grid": g.to_json_dict(),
         "mode": mode,
         "truncation": truncation,
         "coefficients": coefficients,

@@ -322,14 +322,6 @@ def test_identical_runs_are_byte_identical(capsys):
     assert outs[0] == outs[1]
 
 
-def test_threads_do_not_change_output(capsys):
-    argv = ["check", "invariance", TREFOIL, "--moves", "2", "--seed", "5"]
-    rc1, out1, _ = run(capsys, argv + ["--threads", "1"])
-    rc2, out2, _ = run(capsys, argv + ["--threads", "3"])
-    assert (rc1, rc2) == (0, 0)
-    assert out1 == out2
-
-
 def test_invariance_json_records_moves(capsys):
     rc, out, _ = run(capsys,
                      ["check", "invariance", TREFOIL,

@@ -291,14 +291,6 @@ def test_invariance_z_coefficients():
     assert report.ok
 
 
-def test_invariance_threaded_matches_serial():
-    serial = check_invariance(TREFOIL5, 2, seed=11)
-    threaded = check_invariance(TREFOIL5, 2, seed=11, threads=2)
-    assert serial.ok and threaded.ok
-    assert [t.blocks for t in serial.tables] == \
-        [t.blocks for t in threaded.tables]
-
-
 @pytest.mark.parametrize("blocks", [
     {},
     {(0, 0): (1, ()), (-2, -2): (1, ())},

@@ -5,9 +5,13 @@ import random
 
 import pytest
 
-from conftest import TREFOIL5, UNKNOT2
-from gridhfk.complexes import build_minus_complex, build_tilde_complex
-from gridhfk.errors import EmptyInterval, ResourceLimit
+from conftest import FIG8, TREFOIL5, UNKNOT2
+from gridhfk.complexes import (
+    build_minus_complex,
+    build_tilde_complex,
+    connecting_domain,
+)
+from gridhfk.errors import EmptyInterval, InvalidDifferential, ResourceLimit
 from gridhfk.grid import Grid, random_knot_grid
 from gridhfk.homology import homology
 from gridhfk.poset import (
@@ -144,19 +148,38 @@ def test_order_axioms_small_grid():
                 assert p.leq(x, z)
 
 
+def domain_leq(p, y, x):
+    """The order from its definition, for checking the closure of covers.
+
+    y <= x when x has the higher grading, the O multiplicities are the
+    non-negative exponent gains, and the unique domain from x to y with
+    those multiplicities (and none at the X's) is positive.
+    """
+    yi, xi = p.index[y], p.index[x]
+    if yi == xi:
+        return True
+    if p.maslov[xi] <= p.maslov[yi]:
+        return False
+    (gx, fx), (gy, fy) = p._split(x), p._split(y)
+    o_counts = tuple(b - a for a, b in zip(fx, fy))
+    if min(o_counts) < 0:
+        return False
+    dom = connecting_domain(p.grid, gx, gy, "zero_XO", o_counts)
+    return dom is not None and dom.is_positive()
+
+
 def test_order_is_transitive_closure_of_covers():
-    """Every related pair of grading gap <= 3 is reached by cover steps."""
-    g = Grid(4, (1, 2, 3, 0), (2, 3, 0, 1))
-    for p in all_posets(g):
-        up = {i: set() for i in range(len(p))}
-        for u, l, _ in p.covers:
-            up[l].add(u)
-        reach = {i: {i} for i in range(len(p))}
-        for _ in range(3):
-            for i in range(len(p)):
-                reach[i] |= {w for v in reach[i] for w in up[v]}
-        for y, x, diff in related_pairs(p, max_diff=3):
-            assert p.index[x] in reach[p.index[y]]
+    """leq, the closure of the covers, agrees with positive domains on
+    every ordered pair of every grading."""
+    rng = random.Random(61)
+    cases = [(FIG8, "hat", None)]
+    cases += [(random_knot_grid(n, rng), "hat", None) for n in (4, 5, 6)]
+    cases += [(UNKNOT3, "minus", 3), (random_knot_grid(4, rng), "minus", 2)]
+    for g, mode, truncation in cases:
+        for p in all_posets(g, mode, truncation):
+            for x in p.elements:
+                for y in p.elements:
+                    assert p.leq(y, x) == domain_leq(p, y, x), (g, y, x)
 
 
 def test_interval_shapes():
@@ -380,3 +403,39 @@ def test_poset_stats_summary():
     sizes = sorted(c["size"] for g_ in stats["gradings"]
                    for c in g_["components"])
     assert sizes[-3:] == [26, 26, 46]
+
+
+def test_poset_stats_certifies_sampled_intervals(monkeypatch):
+    """An interval with no positive domain behind it fails the run."""
+    monkeypatch.setattr("gridhfk.poset.connecting_domain",
+                        lambda *args: None)
+    with pytest.raises(InvalidDifferential):
+        poset_stats(TREFOIL5)
+
+
+def test_poset_stats_minus_pinned():
+    """A truncated minus report, as computed by per-pair domain solves."""
+    g = Grid(4, (1, 2, 3, 0), (3, 0, 2, 1))
+
+    def grading(a, m, elements, free):
+        return {"alexander": a, "elements": elements, "components": [
+            {"size": elements, "homology": [
+                {"m": m, "a": a, "free": free, "torsion": []}]}]}
+
+    assert poset_stats(g, "minus", 2) == {
+        "grid": {"n": 4, "x_cols": [1, 2, 3, 0], "o_cols": [3, 0, 2, 1]},
+        "mode": "minus",
+        "truncation": 2,
+        "coefficients": "F2",
+        "gradings": [
+            grading(-7, -11, 3, 1), grading(-6, -9, 25, 1),
+            grading(-5, -8, 77, 3), grading(-4, -6, 119, 3),
+            grading(-3, -5, 101, 3), grading(-2, -3, 47, 3),
+            grading(-1, -2, 11, 1), grading(0, 0, 1, 1),
+        ],
+        "components_total": 8,
+        "singletons": 1,
+        "parity": {"pairs": 1480, "odd_open_intervals": 0, "all_even": True},
+        "tower": {"max_k": 4, "ok": True, "del2_in_boundaries": True},
+        "el": {"intervals_checked": 200, "failures": 0, "ok": True},
+    }
