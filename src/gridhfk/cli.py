@@ -148,6 +148,18 @@ def _coefficients(args) -> str:
     return {"f2": "F2", "z": "Z"}[choice]
 
 
+def _truncation(args) -> int | None:
+    """The minus truncation bound of ``args``: ``--truncate``, default 2."""
+    if args.version != "minus":
+        if args.truncate is not None:
+            raise UsageError("--truncate only applies to --version minus")
+        return None
+    truncation = 2 if args.truncate is None else args.truncate
+    if truncation < 1:
+        raise UsageError(f"--truncate must be >= 1, got {truncation}")
+    return truncation
+
+
 def _group_str(coeff: str, free: int, torsion: tuple[int, ...]) -> str:
     base = "F2" if coeff == "F2" else "Z"
     parts = []
@@ -179,14 +191,9 @@ def _cmd_homology(args) -> int:
     g = load_grid(args.grid)
     coeff = _coefficients(args)
     version = args.version
-    if args.truncate is not None and version != "minus":
-        raise UsageError("--truncate only applies to --version minus")
+    truncation = _truncation(args)
     signs = solve_signs(g, args.max_grid) if coeff == "Z" else None
-    truncation = None
     if version == "minus":
-        truncation = 2 if args.truncate is None else args.truncate
-        if truncation < 1:
-            raise UsageError(f"--truncate must be >= 1, got {truncation}")
         cx = build_minus_complex(g, truncation, coeff, signs, args.max_grid)
         ranks = homology(cx)
     else:
@@ -257,13 +264,7 @@ def _cmd_poset_stats(args) -> int:
     g = load_grid(args.grid)
     coeff = _coefficients(args)
     mode = args.version
-    truncation = None
-    if mode == "minus":
-        truncation = 2 if args.truncate is None else args.truncate
-        if truncation < 1:
-            raise UsageError(f"--truncate must be >= 1, got {truncation}")
-    elif args.truncate is not None:
-        raise UsageError("--truncate only applies to --version minus")
+    truncation = _truncation(args)
     signs = solve_signs(g, args.max_grid) if coeff == "Z" else None
     stats = poset_stats(g, mode, truncation, coeff, signs,
                         seed=args.seed, max_grid=args.max_grid)
@@ -438,22 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
     moves_sub = moves.add_subparsers(dest="subcommand", required=True,
                                      metavar="subcommand")
     p = moves_sub.add_parser("commute", help="interchange adjacent annuli")
-    p.add_argument("grid")
+    _add_common(p, coefficients=False, compute=False)
     p.add_argument("axis", choices=("row", "col"))
     p.add_argument("index", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_moves)
     p = moves_sub.add_parser("stabilize", help="split one X into a 2x2 block")
-    p.add_argument("grid")
+    _add_common(p, coefficients=False, compute=False)
     p.add_argument("row", type=int)
     p.add_argument("variant", choices=tuple("abcd"))
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_moves)
     p = moves_sub.add_parser("destabilize", help="collapse a 2x2 block")
-    p.add_argument("grid")
+    _add_common(p, coefficients=False, compute=False)
     p.add_argument("row", type=int)
     p.add_argument("col", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_moves)
 
     return parser

@@ -64,8 +64,9 @@ class OverflowGuard(ResourceLimit):
 class UnsatisfiableSigns(RuntimeError):
     """No sign assignment satisfies the constraint system.
 
-    ``certificate`` holds one violated constraint (its variables and the
-    required parity) for diagnosis.
+    ``certificate`` says what failed, for diagnosis: a violated constraint
+    (its variables and the required parity), a malformed composite or
+    annulus, an unreached generator, or an unknown left undetermined.
     """
 
     def __init__(self, message: str, certificate=None):

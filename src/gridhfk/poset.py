@@ -75,12 +75,13 @@ class GridPoset:
     """Elements of one Alexander grading with their positive-domain order.
 
     ``elements`` are generators in hat mode, or (generator, exponents)
-    pairs in truncated minus mode.  ``covers`` lists (upper, lower,
-    rectangle) index triples; the rectangle realizes the covering move.
-    y <= x when a positive domain with the required marking
-    multiplicities connects x to y; those are exactly the chains of
-    covers, so ``below[i]`` holds the closure: bit j is set when element
-    j is at or below element i.  Build posets with ``_make_poset``.
+    pairs in truncated minus mode.  ``covers[u]`` is element u's row of
+    the differential: its (lower, rectangle) pairs, each rectangle
+    realizing the covering move from u down to lower.  y <= x when a
+    positive domain with the required marking multiplicities connects x
+    to y; those are exactly the chains of covers, so ``below[i]`` holds
+    the closure: bit j is set when element j is at or below element i.
+    Build posets with ``_make_poset``.
     """
 
     grid: Grid
@@ -89,7 +90,7 @@ class GridPoset:
     alexander: int
     elements: tuple
     maslov: tuple[int, ...]
-    covers: tuple[tuple[int, int, Rectangle], ...]
+    covers: tuple[tuple[tuple[int, Rectangle], ...], ...]
     below: tuple[int, ...] = field(compare=False, repr=False)
     index: dict = field(compare=False, repr=False)
 
@@ -107,18 +108,18 @@ class GridPoset:
 
 def _make_poset(g: Grid, mode: str, truncation: int | None, a: int,
                 elements, maslov, covers) -> GridPoset:
-    """A poset with its order closed over the covers.
+    """A poset with its order closed over the cover rows.
 
-    A cover lowers the grading, so taking covers in the order of their
-    upper grading, each lower down-set is complete when it is merged
-    into the upper one.
+    A cover lowers the grading, so merging the rows in grading order,
+    each lower down-set is complete when it is merged into the upper one.
     """
     below = [1 << i for i in range(len(elements))]
-    for upper, lower, _ in sorted(covers, key=lambda c: maslov[c[0]]):
-        below[upper] |= below[lower]
+    for upper in sorted(range(len(elements)), key=maslov.__getitem__):
+        for lower, _ in covers[upper]:
+            below[upper] |= below[lower]
     return GridPoset(grid=g, mode=mode, truncation=truncation, alexander=a,
                      elements=tuple(elements), maslov=tuple(maslov),
-                     covers=tuple(covers), below=tuple(below),
+                     covers=tuple(map(tuple, covers)), below=tuple(below),
                      index={e: i for i, e in enumerate(elements)})
 
 
@@ -156,10 +157,8 @@ def build_poset(g: Grid, a: int, mode: str = "hat",
     elements, gradings, rows = _differential(
         g, d, lambda i, rid: rects[rid], hat, max_grid,
         None if hat else max_elements, a)
-    covers = [(upper, lower, rect) for upper, row in enumerate(rows)
-              for lower, rect in row]
     return _make_poset(g, mode, truncation, a, elements,
-                       [m for m, _ in gradings], covers)
+                       [m for m, _ in gradings], rows)
 
 
 def alexander_range(g: Grid, mode: str = "hat", truncation: int | None = None,
@@ -185,16 +184,17 @@ def components(p: GridPoset, coefficients: str = "F2",
     """
     m = len(p.elements)
     table = move_table(p.grid) if coefficients == "Z" else None
-    adjacent: list[list[int]] = [[] for _ in range(m)]
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for u, l, rect in p.covers:
-        adjacent[u].append(l)
-        adjacent[l].append(u)
-        coeff = 1
-        if table is not None:
-            x, _ = p._split(p.elements[u])
-            coeff = signs.sign(table.gen_index[x], table.rect_id(rect))
-        rows[u].append((l, coeff))
+
+    def coeff(u: int, rect: Rectangle) -> int:
+        if table is None:
+            return 1
+        x, _ = p._split(p.elements[u])
+        return signs.sign(table.gen_index[x], table.rect_id(rect))
+
+    adjacent = [[l for l, _ in row] for row in p.covers]
+    for u, row in enumerate(p.covers):
+        for l, _ in row:
+            adjacent[l].append(u)
 
     seen = [False] * m
     out = []
@@ -212,10 +212,11 @@ def components(p: GridPoset, coefficients: str = "F2",
                     stack.append(w)
         comp.sort()
         local = {v: i for i, v in enumerate(comp)}
+        rows = [[(local[l], coeff(v, rect)) for l, rect in p.covers[v]]
+                for v in comp]
         cc = ChainComplex(coefficients, p.mode, p.grid, p.truncation,
                           [p.elements[v] for v in comp],
-                          [(p.maslov[v], p.alexander) for v in comp],
-                          [[(local[l], c) for l, c in rows[v]] for v in comp])
+                          [(p.maslov[v], p.alexander) for v in comp], rows)
         out.append((len(comp), homology(cc)))
     return out
 
@@ -225,7 +226,9 @@ def components(p: GridPoset, coefficients: str = "F2",
 def interval(p: GridPoset, y, x, shape: str = "closed") -> GridPoset:
     """Induced sub-poset on [y,x], (y,x] or (y,x).
 
-    Raises EmptyInterval when y is not below x.
+    Its cover rows are its members' rows, kept to the members, so the
+    cost grows with the interval.  Raises EmptyInterval when y is not
+    below x.
     """
     if shape not in ("closed", "open", "half"):
         raise ValueError(f"shape must be closed, open or half, got {shape!r}")
@@ -236,8 +239,8 @@ def interval(p: GridPoset, y, x, shape: str = "closed") -> GridPoset:
     members = [z for z in _bits(p.below[xi])
                if p.below[z] >> yi & 1 and z not in dropped]
     local = {z: i for i, z in enumerate(members)}
-    covers = [(local[u], local[l], rect) for u, l, rect in p.covers
-              if u in local and l in local]
+    covers = [[(local[l], rect) for l, rect in p.covers[u] if l in local]
+              for u in members]
     return _make_poset(p.grid, p.mode, p.truncation, p.alexander,
                        [p.elements[z] for z in members],
                        [p.maslov[z] for z in members], covers)
@@ -247,29 +250,25 @@ def maximal_chains(p: GridPoset, y, x):
     """Saturated chains from y up to x, with the rectangles they use.
 
     Returns a list of (element index tuple, rectangle tuple) pairs, in
-    the ambient poset's indexing.  Every cover step raises the grading
-    by one, so any cover path from y that stays inside [y,x] and reaches
-    x is maximal in the interval.
+    the ambient poset's indexing, each path running from y up to x.
+    Every cover step lowers the grading by one, so any walk down the
+    cover rows from x through elements above y that reaches y is a
+    maximal chain of the interval.
     """
     if not p.leq(y, x):
         raise EmptyInterval(f"{y} is not below {x}")
     yi, xi = p.index[y], p.index[x]
-    up: dict[int, list[tuple[int, Rectangle]]] = collections.defaultdict(list)
-    for u, l, rect in p.covers:
-        up[l].append((u, rect))
     chains: list[tuple[tuple[int, ...], tuple[Rectangle, ...]]] = []
-    stack = [((yi,), ())]
+    stack = [((xi,), ())]
     while stack:
         path, rects = stack.pop()
         last = path[-1]
-        if last == xi:
-            chains.append((path, rects))
+        if last == yi:
+            chains.append((path[::-1], rects[::-1]))
             continue
-        for u, rect in up[last]:
-            if p.maslov[u] > p.maslov[xi]:
-                continue
-            if p.leq(p.elements[u], x):
-                stack.append((path + (u,), rects + (rect,)))
+        for l, rect in p.covers[last]:
+            if p.below[l] >> yi & 1:
+                stack.append((path + (l,), rects + (rect,)))
     return chains
 
 

@@ -11,15 +11,17 @@ rectangle out of every generator) so that
 Such an assignment exists for every grid and is unique up to flipping all
 signs at a set of generators, so the solver fixes a spanning tree of the
 move graph to +1 and determines the rest.  Signs are encoded as F2
-exponents: one unknown per move, one linear constraint per composite
-group, solved by unit propagation with a small elimination fallback, then
-every constraint is re-checked.
+exponents: one unknown per move, numbered by the move's position in the
+table's rows, and one linear constraint per composite group.  Unit
+propagation from the pinned tree determines every unknown, then every
+constraint is re-checked.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .complexes import DEFAULT_MAX_GRID, move_table
 from .errors import UnsatisfiableSigns
@@ -53,9 +55,10 @@ def _thin_annulus_masks(n: int) -> tuple[set[int], set[int]]:
 
 def _propagate(nvars: int, cons_vars: array, cons_off: array,
                parity: bytearray, seeds: list[int]):
-    """Unit propagation; returns the partial solution as a bytearray.
+    """Unit propagation from ``seeds`` set to 0; returns the solution.
 
-    Entries are 0/1 once known, 2 while unknown.  Raises on contradiction.
+    Entries are 0/1 once known, 2 while unknown.  Raises on a
+    contradiction, and on an unknown that propagation cannot reach.
     """
     ncons = len(parity)
     values = bytearray([2]) * nvars
@@ -111,54 +114,11 @@ def _propagate(nvars: int, cons_vars: array, cons_off: array,
                     certificate=("constraint",
                                  list(cons_vars[cons_off[c]:cons_off[c + 1]]),
                                  parity[c]))
+    if 2 in values:
+        raise UnsatisfiableSigns(
+            "propagation left a rectangle's sign undetermined",
+            certificate=("undetermined", values.index(2)))
     return values
-
-
-def _eliminate_residual(values: bytearray, cons_vars: array, cons_off: array,
-                        parity: bytearray) -> None:
-    """Gaussian elimination over the variables propagation left unknown."""
-    unknown_ids = [v for v, val in enumerate(values) if val == 2]
-    if not unknown_ids:
-        return
-    col_of = {v: k for k, v in enumerate(unknown_ids)}
-    pivots: dict[int, tuple[int, int]] = {}
-    order: list[int] = []
-    for c in range(len(parity)):
-        mask = 0
-        rhs = parity[c]
-        for k in range(cons_off[c], cons_off[c + 1]):
-            v = cons_vars[k]
-            if values[v] == 2:
-                mask ^= 1 << col_of[v]
-            else:
-                rhs ^= values[v]
-        while mask:
-            p = mask.bit_length() - 1
-            if p not in pivots:
-                pivots[p] = (mask, rhs)
-                order.append(p)
-                break
-            pmask, prhs = pivots[p]
-            mask ^= pmask
-            rhs ^= prhs
-        else:
-            if rhs:
-                raise UnsatisfiableSigns(
-                    "inconsistent residual system",
-                    certificate=("constraint",
-                                 list(cons_vars[cons_off[c]:cons_off[c + 1]]),
-                                 parity[c]))
-    solution = bytearray(len(unknown_ids))
-    for p in reversed(order):
-        mask, rhs = pivots[p]
-        mask ^= 1 << p
-        while mask:
-            q = mask.bit_length() - 1
-            mask ^= 1 << q
-            rhs ^= solution[q]
-        solution[p] = rhs
-    for v, k in col_of.items():
-        values[v] = solution[k]
 
 
 def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
@@ -167,11 +127,9 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
     n = g.n
     moves = table.moves
 
-    var_of: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(moves):
-        for rid, _ in row:
-            var_of[(i, rid)] = len(var_of)
-    nvars = len(var_of)
+    # The unknown of the t-th move out of generator i is first[i] + t.
+    first = list(accumulate(map(len, moves), initial=0))
+    nvars = first[-1]
 
     rect_masks = []
     for rect in table.rects:
@@ -192,14 +150,11 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
 
     for i, row in enumerate(moves):
         groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for rid1, j in row:
-            v1 = var_of[(i, rid1)]
+        for v1, (rid1, j) in enumerate(row, first[i]):
             m1 = rect_masks[rid1]
-            row2 = moves[j]
-            for rid2, k in row2:
+            for v2, (rid2, k) in enumerate(moves[j], first[j]):
                 key = (k, m1 + rect_masks[rid2])
-                entry = (v1, var_of[(j, rid2)], j)
-                groups.setdefault(key, []).append(entry)
+                groups.setdefault(key, []).append((v1, v2, j))
         for (k, mask), entries in groups.items():
             if k != i:
                 if len(entries) != 2:
@@ -234,10 +189,10 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
     while frontier:
         nxt: list[int] = []
         for i in frontier:
-            for rid, j in moves[i]:
+            for v, (_, j) in enumerate(moves[i], first[i]):
                 if not seen[j]:
                     seen[j] = 1
-                    seeds.append(var_of[(i, rid)])
+                    seeds.append(v)
                     nxt.append(j)
         frontier = nxt
     if not all(seen):
@@ -246,7 +201,6 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
             certificate=("unreached", seen.index(0)))
 
     values = _propagate(nvars, cons_vars, cons_off, parity, seeds)
-    _eliminate_residual(values, cons_vars, cons_off, parity)
 
     for c in range(len(parity)):
         total = parity[c]
@@ -259,5 +213,6 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
                              list(cons_vars[cons_off[c]:cons_off[c + 1]]),
                              parity[c]))
 
-    exponents = {key: values[v] for key, v in var_of.items()}
+    exponents = {(i, rid): values[v] for i, row in enumerate(moves)
+                 for v, (rid, _) in enumerate(row, first[i])}
     return SignAssignment(g, exponents, nvars, len(parity))

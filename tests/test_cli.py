@@ -250,6 +250,24 @@ def test_usage_errors_exit_1(capsys):
         assert err.startswith("gridhfk: usage error:")
 
 
+def test_truncate_checked_before_any_work(capsys, monkeypatch):
+    """A bad --truncate is refused before the sign solve starts."""
+    def refuse(*args):
+        raise AssertionError("solve_signs ran before --truncate was checked")
+
+    monkeypatch.setattr("gridhfk.cli.solve_signs", refuse)
+    for argv in (["homology", TORUS34, "--version", "minus"],
+                 ["homology", TORUS34],
+                 ["poset", "stats", TREFOIL, "--version", "minus"],
+                 ["poset", "stats", TREFOIL]):
+        bad = argv + ["--coefficients", "z", "--truncate",
+                      "0" if "minus" in argv else "2"]
+        rc, out, err = run(capsys, bad)
+        assert rc == 1, bad
+        assert out == ""
+        assert err.startswith("gridhfk: usage error: --truncate"), bad
+
+
 def test_usage_error_json_stderr(capsys):
     rc, _, err = run(capsys, ["homology", "--json"])
     assert rc == 1

@@ -42,6 +42,11 @@ def all_posets(g, mode="hat", truncation=None):
     return out
 
 
+def flat_covers(p):
+    """(upper, lower, rectangle) triples of the poset's cover rows."""
+    return [(u, l, rect) for u, row in enumerate(p.covers) for l, rect in row]
+
+
 def related_pairs(p, min_diff=1, max_diff=None):
     for xi in range(len(p)):
         for yi in range(len(p)):
@@ -54,7 +59,7 @@ def related_pairs(p, min_diff=1, max_diff=None):
 
 def test_unknot_singleton_poset():
     p = build_poset(UNKNOT2, 0)
-    assert len(p) == 1 and not p.covers
+    assert len(p) == 1 and not flat_covers(p)
     assert p.leq(p.elements[0], p.elements[0])
 
 
@@ -101,7 +106,7 @@ def test_hat_covers_equal_tilde_boundary_entries():
                      for i, row in enumerate(cc.diff) for j, _ in row}
     poset_edges = set()
     for p in all_posets(TREFOIL5):
-        for u, l, _ in p.covers:
+        for u, l, _ in flat_covers(p):
             poset_edges.add((p.elements[u], p.elements[l]))
     assert poset_edges == complex_edges
 
@@ -112,7 +117,7 @@ def test_minus_covers_equal_complex_entries():
                      for i, row in enumerate(cc.diff) for j, _ in row}
     poset_edges = set()
     for p in all_posets(UNKNOT3, "minus", truncation=2):
-        for u, l, _ in p.covers:
+        for u, l, _ in flat_covers(p):
             poset_edges.add((p.elements[u], p.elements[l]))
     assert poset_edges == complex_edges
 
@@ -130,7 +135,7 @@ def test_hat_posets_are_minus_posets_at_d1(n):
 
 def test_covers_raise_grading_by_one():
     for p in all_posets(TREFOIL5) + all_posets(UNKNOT3, "minus", truncation=2):
-        for u, l, _ in p.covers:
+        for u, l, _ in flat_covers(p):
             assert p.maslov[u] == p.maslov[l] + 1
 
 
@@ -228,6 +233,62 @@ def test_maximal_chain_lengths_match_grading_gap():
             assert all(len(path) == diff + 1 for path, _ in chains)
 
 
+def filtered_covers(p, members):
+    """The ambient covers between ``members``, by filtering the whole
+    cover list: the reference for ``interval``'s rows."""
+    local = {z: i for i, z in enumerate(members)}
+    return [(local[u], local[l], rect) for u, l, rect in flat_covers(p)
+            if u in local and l in local]
+
+
+def upward_chains(p, y, x):
+    """Cover paths from y up to x inside [y,x], walked upward with ``leq``
+    tests: the reference for ``maximal_chains``."""
+    yi, xi = p.index[y], p.index[x]
+    up = {}
+    for u, l, rect in flat_covers(p):
+        up.setdefault(l, []).append((u, rect))
+    chains = []
+    stack = [((yi,), ())]
+    while stack:
+        path, rects = stack.pop()
+        if path[-1] == xi:
+            chains.append((path, rects))
+            continue
+        for u, rect in up.get(path[-1], ()):
+            if p.maslov[u] <= p.maslov[xi] and p.leq(p.elements[u], x):
+                stack.append((path + (u,), rects + (rect,)))
+    return chains
+
+
+def oracle_posets():
+    return all_posets(TREFOIL5) + all_posets(UNKNOT3, "minus", truncation=2)
+
+
+def test_interval_rows_are_ambient_covers_between_members():
+    count = 0
+    for p in oracle_posets():
+        for y, x, _ in related_pairs(p, min_diff=0):
+            for shape in ("closed", "half", "open"):
+                sub = interval(p, y, x, shape)
+                members = [p.index[e] for e in sub.elements]
+                assert flat_covers(sub) == filtered_covers(p, members)
+            count += 1
+    assert count == 471  # related pairs, y = x included
+
+
+def test_maximal_chains_match_upward_walk():
+    count = 0
+    for p in oracle_posets():
+        for y, x, _ in related_pairs(p, min_diff=0, max_diff=4):
+            chains = maximal_chains(p, y, x)
+            reference = upward_chains(p, y, x)
+            assert len(chains) == len(reference)
+            assert set(chains) == set(reference)
+            count += 1
+    assert count == 471  # every related pair has a gap of at most 4
+
+
 def test_closed_intervals_are_acyclic():
     """Restricting the boundary to a closed interval of length >= 1 kills
     all homology, checked by F2 rank counting on sampled intervals."""
@@ -281,7 +342,7 @@ def test_del_tower_one_equals_covers():
                 low = bits & -bits
                 edges.add((xi, low.bit_length() - 1))
                 bits ^= low
-        assert edges == {(u, l) for u, l, _ in p.covers}
+        assert edges == {(u, l) for u, l, _ in flat_covers(p)}
 
 
 def test_del_tower_validates_index():
@@ -297,7 +358,7 @@ def test_el_label_crossing_reference():
     n = TREFOIL5.n
     seen_s0 = seen_s1 = False
     for p in all_posets(TREFOIL5):
-        for _, _, rect in p.covers:
+        for _, _, rect in flat_covers(p):
             lab = el_label(p, rect)
             crosses = (ref - rect.col) % n < rect.width
             assert (lab.s == 0) == crosses
@@ -316,7 +377,7 @@ def test_el_label_right_neighbor_column():
     p = build_poset(TREFOIL5, -1)
     ref = TREFOIL5.x_cols[0]
     n = TREFOIL5.n
-    hits = [rect for _, _, rect in p.covers
+    hits = [rect for _, _, rect in flat_covers(p)
             if rect.col == (ref + 1) % n and (ref - rect.col) % n >= rect.width]
     assert hits
     for rect in hits:
@@ -329,7 +390,7 @@ def test_el_labels_identify_cover_from_below():
     """A lower endpoint and a label determine the covering rectangle."""
     for p in all_posets(TREFOIL5):
         seen = {}
-        for u, l, rect in p.covers:
+        for u, l, rect in flat_covers(p):
             key = (l, el_label(p, rect))
             assert key not in seen or seen[key] == u
             seen[key] = u

@@ -98,6 +98,16 @@ def test_contradiction_raises_with_certificate():
     assert info.value.certificate is not None
 
 
+def test_propagation_refuses_an_undetermined_unknown():
+    """With no seed, v0 + v1 = 0 leaves both unknowns open."""
+    cons_vars = array("i", [0, 1])
+    cons_off = array("i", [0, 2])
+    parity = bytearray([0])
+    with pytest.raises(UnsatisfiableSigns) as info:
+        _propagate(2, cons_vars, cons_off, parity, [])
+    assert info.value.certificate == ("undetermined", 0)
+
+
 def test_z_ranks_match_f2_on_small_knots():
     rng = random.Random(37)
     for n in (3, 4):
