@@ -7,19 +7,19 @@ This script re-runs the searches that produced those grids and verifies
 the frozen facts, so the fixtures can be reproduced from scratch.  It is
 not imported by the package or the tests.
 
-The bulk searches use two shortcuts proved by the grading identities
-(and re-checked against the package code at startup):
+The Alexander-polynomial searches compare each candidate's grid
+determinant (``gridhfk.gradings.determinant_alexander``) with the target
+polynomial.  It rests on two shortcuts, re-checked here against the
+package gradings at startup:
 
 * A(x) decomposes as a constant plus a per-point table lookup, because
   the J-pairing is bilinear and only the x-against-markings term varies.
 * (-1)^M(x) is a fixed global sign times the permutation sign of x,
   because every rectangle move is a transposition and drops M by 1.
 
-Together they give the generator Euler characteristic
-sum_x (-1)^M t^A = +-Delta(t) (1 - 1/t)^(n-1) in O(n! * n) time, which
-is what the Alexander-polynomial searches match against.
-
-Needs numpy for the vectorized scans; the package itself does not.
+Together they make the generator Euler characteristic
+sum_x (-1)^M t^A = +-Delta(t) (1 - 1/t)^(n-1) a determinant of monomials,
+computed without the n! sum.
 """
 
 from __future__ import annotations
@@ -40,7 +40,13 @@ from gridhfk.complexes import (
     gen_to_colstring,
     move_table,
 )
-from gridhfk.gradings import alexander, j_pair, maslov
+from gridhfk.gradings import (
+    alexander,
+    determinant_alexander,
+    euler_characteristic,
+    j_pair,
+    maslov,
+)
 from gridhfk.grid import Grid, link_components
 from gridhfk.homology import extract_hat, homology
 from gridhfk.signs import solve_signs
@@ -101,92 +107,23 @@ def perm_sign(p) -> int:
     return s
 
 
-def fast_a_table(g: Grid):
-    """Integer form of the linear decomposition: 4*A(x) = sum + constant.
-
-    Returns (T, k4) with 4*A(x) = sum_r T[r, x[r]] + k4, everything an
-    integer.  Derivation: J against a single marking at half coordinates
-    is 1/2 exactly when the point and the marking sit on the same side
-    in both coordinates, and the cross terms J(X, O) cancel out of the
-    constant, leaving aligned-pair counts.
-    """
-    import numpy as np
-
-    n = g.n
-    lattice = np.arange(n)
-
-    def same_side_counts(mark_cols, mark_rows):
-        colcmp = (mark_cols[None, :] < lattice[:, None]).astype(np.int64)
-        rowcmp = (mark_rows[None, :] < lattice[:, None]).astype(np.int64)
-        return rowcmp @ colcmp.T + (1 - rowcmp) @ (1 - colcmp).T
-
-    def aligned_pairs(mark_cols, mark_rows) -> int:
-        cc = mark_cols[:, None] < mark_cols[None, :]
-        rr = mark_rows[:, None] < mark_rows[None, :]
-        return int(np.triu(cc == rr, 1).sum())
-
-    xc = np.asarray(g.x_cols)
-    oc = np.asarray(g.o_cols)
-    table = 2 * (same_side_counts(xc, lattice) - same_side_counts(oc, lattice))
-    k4 = -2 * (aligned_pairs(xc, lattice) - aligned_pairs(oc, lattice)) \
-        - 2 * (n - 1)
-    return table, k4
-
-
-def euler_characteristic(g: Grid, perms=None, signs=None):
-    """sum over generators of (-1)^M t^A, as {exponent: coefficient}."""
-    table, k4 = fast_a_table(g)
-    table = table.tolist()
-    if perms is None:
-        perms = list(itertools.permutations(range(g.n)))
-        signs = [perm_sign(p) for p in perms]
-    acc: dict = collections.defaultdict(int)
-    for p, s in zip(perms, signs):
-        a4 = k4
-        for r, c in enumerate(p):
-            a4 += table[r][c]
-        acc[a4] += s
-    out = {}
-    for a4, coeff in acc.items():
-        if coeff:
-            assert a4 % 4 == 0
-            out[a4 // 4] = coeff
-    return out
-
-
-def expand_target(delta: dict, n: int) -> dict:
-    """delta(t) * (1 - 1/t)^(n-1) as {exponent: coefficient}."""
-    poly = dict(delta)
-    for _ in range(n - 1):
-        nxt: dict = collections.defaultdict(int)
-        for a, c in poly.items():
-            nxt[a] += c
-            nxt[a - 1] -= c
-        poly = {a: c for a, c in nxt.items() if c}
-    return poly
-
-
-def matches_delta(g: Grid, delta: dict, perms, signs) -> bool:
-    target = expand_target(delta, g.n)
-    chi = euler_characteristic(g, perms, signs)
-    return chi == target or chi == {a: -c for a, c in target.items()}
-
-
 def sanity_check() -> None:
-    """Re-verify the two shortcuts against the package gradings."""
+    """Re-verify the two shortcuts and the determinant on a 4x4 grid."""
     g = Grid(4, (1, 2, 3, 0), (2, 3, 0, 1))
     L, K = linear_a_table(g)
-    table, k4 = fast_a_table(g)
     base = None
+    chi: dict = collections.defaultdict(int)
     for x in enumerate_generators(g):
         a = sum(L[r][c] for r, c in enumerate(x)) + K
         assert a == alexander(g, x)
-        assert sum(table[r][c] for r, c in enumerate(x)) + k4 == 4 * a
         rel = (-1) ** maslov(g, x) * perm_sign(x)
         if base is None:
             base = rel
         assert rel == base
-    print("shortcut identities verified on a 4x4 grid")
+        chi[a] += (-1) ** maslov(g, x)
+    assert euler_characteristic(g) == {a: c for a, c in chi.items() if c}
+    print("shortcut identities and the grid determinant verified on a "
+          "4x4 grid")
 
 
 # ------------------------------------------------------------ the searches
@@ -238,49 +175,19 @@ def find_by_delta(n: int, name: str, limit: int | None = None) -> list[Grid]:
 
     Scans all grids with the X of row 0 in column 0 (every grid is a
     column translation of such a grid, and translations preserve the
-    knot), comparing generator Euler characteristics against
-    Delta * (1 - 1/t)^(n-1) with numpy doing the n!-generator sum.
+    knot), comparing each knot's grid determinant with the target.
     """
-    import numpy as np
-
-    perms = list(itertools.permutations(range(n)))
-    perms_arr = np.array(perms, dtype=np.int64)
-    signs_arr = np.array([perm_sign(p) for p in perms], dtype=np.int64)
-    rows = np.arange(n)
-
-    target = expand_target(DELTA[name], n)
-    t_min, t_max = min(target), max(target)
-    t_vec = np.array([target.get(a, 0) for a in range(t_min, t_max + 1)],
-                     dtype=np.int64)
-
     out = []
-    for x_cols in perms:
+    for x_cols in itertools.permutations(range(n)):
         if x_cols[0] != 0:
             continue
-        x_rows = [0] * n
-        for r, c in enumerate(x_cols):
-            x_rows[c] = r
-        for o_cols in perms:
+        for o_cols in itertools.permutations(range(n)):
             if any(a == b for a, b in zip(x_cols, o_cols)):
                 continue
-            # knot, not a multi-component link
-            r, length = 0, 0
-            while True:
-                r = x_rows[o_cols[r]]
-                length += 1
-                if r == 0:
-                    break
-            if length != n:
-                continue
             g = Grid(n, x_cols, o_cols)
-            table, k4 = fast_a_table(g)
-            a4 = np.asarray(table)[rows, perms_arr].sum(axis=1) + k4
-            a_vals = a4 >> 2
-            if a_vals.min() != t_min or a_vals.max() != t_max:
+            if link_components(g) != 1:
                 continue
-            chi = np.bincount(a_vals - t_min, weights=signs_arr,
-                              minlength=len(t_vec)).astype(np.int64)
-            if np.array_equal(chi, t_vec) or np.array_equal(chi, -t_vec):
+            if determinant_alexander(g) == DELTA[name]:
                 out.append(g)
                 if limit is not None and len(out) >= limit:
                     return out
@@ -329,10 +236,7 @@ def shift_cols(g: Grid, s: int) -> Grid:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--skip-slow", action="store_true",
-                        help="skip the 9x9 Euler-characteristic check")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     sanity_check()
 
@@ -378,14 +282,8 @@ def main() -> None:
     granny = splice(left, trefoil)
     assert link_components(granny) == 1
     print(f"  grid: X={granny.x_cols} O={granny.o_cols}")
-    if not args.skip_slow:
-        t0 = time.time()
-        chi = euler_characteristic(granny)
-        target = expand_target(DELTA["granny"], 9)
-        neg = {a: -c for a, c in target.items()}
-        assert chi == target or chi == neg
-        print(f"  Euler characteristic matches (t-1+1/t)^2 "
-              f"* (1-1/t)^8 ({time.time()-t0:.1f}s)")
+    assert determinant_alexander(granny) == DELTA["granny"]
+    print("  grid determinant gives (t - 1 + 1/t)^2")
 
 
 if __name__ == "__main__":

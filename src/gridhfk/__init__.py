@@ -30,7 +30,16 @@ from .grid import (
     serialize_grid,
     stabilize,
 )
-from .gradings import alexander, bigrading, bigrading_with_u, j_pair, maslov
+from .gradings import (
+    alexander,
+    bigrading,
+    bigrading_with_u,
+    determinant_alexander,
+    euler_characteristic,
+    j_pair,
+    maslov,
+    top_generators,
+)
 from .complexes import (
     ChainComplex,
     Domain,
@@ -41,7 +50,6 @@ from .complexes import (
     enumerate_generators,
     gen_from_colstring,
     gen_to_colstring,
-    rect_moves_from,
 )
 from .homology import BigradedRanks, extract_hat, homology, poincare_string
 from .signs import SignAssignment, solve_signs
@@ -50,6 +58,7 @@ from .invariants import (
     InvarianceReport,
     alexander_polynomial,
     apply_move,
+    certify_hat,
     check_invariance,
     fibered,
     genus,

@@ -38,6 +38,7 @@ from .homology import BigradedRanks, extract_hat, homology
 from .invariants import (
     alexander_polynomial,
     apply_move,
+    certify_hat,
     check_invariance,
     fibered,
     genus,
@@ -197,10 +198,12 @@ def _cmd_homology(args) -> int:
         cx = build_minus_complex(g, truncation, coeff, signs, args.max_grid)
         ranks = homology(cx)
     else:
-        cx = build_tilde_complex(g, coeff, signs, args.max_grid)
+        hat = version == "hat"
+        cx = build_tilde_complex(g, coeff, signs, args.max_grid, top_half=hat)
         ranks = homology(cx)
-        if version == "hat":
-            ranks = extract_hat(ranks, g.n)
+        if hat:
+            ranks = extract_hat(ranks, g.n, top_half=True)
+            certify_hat(g, ranks)
 
     label = f"minus (d={truncation})" if version == "minus" else version
     lines = [f"{label} homology over {coeff} of the {g.n}x{g.n} grid",

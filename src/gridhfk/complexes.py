@@ -20,6 +20,11 @@ rectangles meeting no marking at all survive, on bare generator labels.
 The builder reads the move table of just the class it counts: X-free
 rectangles for ``d > 1``, marking-free ones at ``d = 1``.  The sign
 solver alone reads the table of every empty rectangle.
+
+Marking-free rectangles keep the Alexander grading, so the tilde complex
+also comes in a top half: the generators with ``A >= 0`` alone, listed
+without the n! enumeration, with the marking-free table over just them.
+The hat path needs no more (see ``homology.extract_hat``).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import ResourceLimit
-from .gradings import alexander, maslov, maslov_index
+from .gradings import alexander, maslov, maslov_index, top_generators
 from .grid import Grid
 
 __all__ = [
@@ -44,7 +49,6 @@ __all__ = [
     "gen_to_colstring",
     "gen_from_colstring",
     "move_table",
-    "rect_moves_from",
     "connecting_domain",
     "build_tilde_complex",
     "build_minus_complex",
@@ -134,6 +138,9 @@ class MoveTable:
     lower-left corner sits on the lower row first), so each class is the
     full table filtered to it.  ``rects`` holds every rectangle of the grid
     in ``(col, row, width, height)`` order, so ids agree between classes.
+    ``gens`` is every generator in lexicographic order, unless a subset
+    closed under the class's moves is given: for ``"XO"``, any union of
+    Alexander gradings.
 
     Out of generator ``x``, the rectangles with lower-left corner ``x[b]``
     are found by one scan upward over the heights, carrying the nearest
@@ -144,22 +151,28 @@ class MoveTable:
     """
 
     def __init__(self, g: Grid, max_grid: int = DEFAULT_MAX_GRID,
-                 cls: str = ""):
+                 cls: str = "", gens: list[Generator] | None = None):
         if cls not in _MOVE_CLASSES:
             raise ValueError(f"unknown rectangle class {cls!r}")
         n = g.n
-        _check_address_space(n, cls)
+        if gens is None:
+            _check_address_space(n, cls)
+            gens = enumerate_generators(g, max_grid)
         self.grid = g
-        self.gens = enumerate_generators(g, max_grid)
+        self.gens = gens
         gen_index = self.gen_index = {x: i for i, x in enumerate(self.gens)}
         x_cols, o_cols = g.x_cols, g.o_cols
         self.rects: list[Rectangle] = []
         sides = range(1, n)
-        for a, b, w, h in itertools.product(range(n), range(n), sides, sides):
-            rows = [(b + dr) % n for dr in range(h)]
-            xs = tuple(r for r in rows if (x_cols[r] - a) % n < w)
-            os_ = tuple(r for r in rows if (o_cols[r] - a) % n < w)
-            self.rects.append(Rectangle(n, a, b, w, h, xs, os_))
+        for a, b, w in itertools.product(range(n), range(n), sides):
+            xs = os_ = ()
+            for h in sides:  # each height adds row b + h - 1
+                r = (b + h - 1) % n
+                if (x_cols[r] - a) % n < w:
+                    xs += (r,)
+                if (o_cols[r] - a) % n < w:
+                    os_ += (r,)
+                self.rects.append(Rectangle(n, a, b, w, h, xs, os_))
         scans = _scans(g, cls)
         self.moves: list[list[tuple[int, int]]] = []
         for x in self.gens:
@@ -250,26 +263,25 @@ def _check_address_space(n: int, cls: str = "") -> None:
 
 
 def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID,
-               cls: str = "") -> MoveTable:
+               cls: str = "", top_half: bool = False) -> MoveTable:
     """The grid's table of class ``cls``, built once and shared.
 
     ``max_grid`` only gates the build, so it is checked here and left out
     of the cache key: every call for one grid and class gets one table.
+    With ``top_half`` the table covers only the generators with A >= 0,
+    which the marking-free class ``"XO"`` alone never leaves.
     """
     _check_grid_size(g, max_grid)
-    return _cached_table(g, cls)
+    if top_half and cls != "XO":
+        raise ValueError("only marking-free moves keep the Alexander grading")
+    return _cached_table(g, cls, top_half)
 
 
 @lru_cache(maxsize=8)
-def _cached_table(g: Grid, cls: str) -> MoveTable:
+def _cached_table(g: Grid, cls: str, top_half: bool) -> MoveTable:
+    if top_half:
+        return MoveTable(g, g.n, cls, top_generators(g))
     return MoveTable(g, g.n, cls)
-
-
-def rect_moves_from(g: Grid, x: Generator) -> list[tuple[Rectangle, Generator]]:
-    """Empty rectangles out of ``x`` with their target generators."""
-    table = move_table(g)
-    i = table.gen_index[x]
-    return [(table.rects[rid], table.gens[j]) for rid, j in table.moves[i]]
 
 
 @dataclass(frozen=True)
@@ -434,9 +446,15 @@ class ChainComplex:
 
 
 def build_tilde_complex(g: Grid, coefficients: str = "F2", signs=None,
-                        max_grid: int = DEFAULT_MAX_GRID) -> ChainComplex:
-    """Fully blocked complex: the minus complex at d = 1, on bare generators."""
-    return _complex(g, 1, coefficients, signs, "tilde", max_grid, None)
+                        max_grid: int = DEFAULT_MAX_GRID,
+                        top_half: bool = False) -> ChainComplex:
+    """Fully blocked complex: the minus complex at d = 1, on bare generators.
+
+    With ``top_half``, only its direct summand on the generators with
+    A >= 0.
+    """
+    return _complex(g, 1, coefficients, signs, "tilde", max_grid, None,
+                    top_half)
 
 
 def build_minus_complex(g: Grid, d: int, coefficients: str = "F2", signs=None,
@@ -447,18 +465,37 @@ def build_minus_complex(g: Grid, d: int, coefficients: str = "F2", signs=None,
 
 
 def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
-             max_grid: int, max_elements: int | None) -> ChainComplex:
+             max_grid: int, max_elements: int | None,
+             top_half: bool = False) -> ChainComplex:
     _check_coefficients(coefficients, signs)
     tilde = version == "tilde"
+    entry = signs.sign if coefficients == "Z" else _unit
+    if coefficients == "Z" and top_half:
+        entry = _top_half_signs(g, max_grid, signs)
     labels, gradings, diff = _differential(
-        g, d, signs.sign if coefficients == "Z" else _unit, tilde, max_grid,
-        max_elements)
+        g, d, entry, tilde, max_grid, max_elements, top_half=top_half)
     return ChainComplex(coefficients, version, g, None if tilde else d,
                         labels, gradings, diff)
 
 
 def _unit(gen_id: int, rect_id: int) -> int:
     return 1
+
+
+def _top_half_signs(g: Grid, max_grid: int, signs):
+    """``signs.sign`` on the ids of the top-half table.
+
+    The solver keys each sign by the generator's id in the full table, so
+    each top-half generator is looked up there, not by its position.
+    """
+    full = move_table(g, max_grid).gen_index
+    ids = [full[x] for x in move_table(g, max_grid, "XO", True).gens]
+    sign = signs.sign
+
+    def entry(gen_id: int, rect_id: int) -> int:
+        return sign(ids[gen_id], rect_id)
+
+    return entry
 
 
 def _term_class(d: int) -> str:
@@ -472,13 +509,15 @@ def _term_class(d: int) -> str:
 
 def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
                   max_elements: int | None,
-                  alexander_grading: int | None = None):
+                  alexander_grading: int | None = None,
+                  top_half: bool = False):
     """Labels, bigradings and rows of the differential truncated at ``d``.
 
     The basis is each generator x times U^k, k in {0..d-1}^n, labelled
     ``(x, k)``, or ``x`` alone when ``bare``; with ``alexander_grading``
     set, only the elements of that grading, which the differential
-    preserves.  The terms come from the rectangles meeting no X; a term
+    preserves; with ``top_half`` (d = 1 only), only the generators of the
+    top-half table.  The terms come from the rectangles meeting no X; a term
     is dropped when an exponent it bumps would reach ``d``, so at d = 1
     only the rectangles meeting no marking remain, and only that class
     of the move table is read.  Row ``i`` lists
@@ -486,7 +525,7 @@ def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
     """
     if d < 1:
         raise ValueError(f"truncation bound must be positive, got {d}")
-    table = move_table(g, max_grid, _term_class(d))
+    table = move_table(g, max_grid, _term_class(d), top_half)
     gens, moves, rects = table.gens, table.moves, table.rects
     n = g.n
     size = d ** n

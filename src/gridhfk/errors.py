@@ -94,8 +94,9 @@ class AsymmetryDetected(ArithmeticError):
 class InvalidHomology(ArithmeticError):
     """A hat table breaks a property every knot's has.
 
-    The hat homology of a knot is nonzero, and its top Alexander grading
-    is at least the degree of the Alexander polynomial.
+    The hat homology of a knot is nonzero, its top Alexander grading is
+    at least the degree of the Alexander polynomial, and its graded Euler
+    characteristic is that polynomial up to sign.
     """
 
 

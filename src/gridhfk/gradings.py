@@ -27,6 +27,16 @@ non-inversions of ``x`` for ``J(x, x)``::
 where ``jj`` is twice the pairing.  The quadratic point-set pairing
 ``_jj_points`` builds those tables and constants, and ``j_pair`` on exact
 rationals is the reference the tests check both against.
+
+Because ``A`` is linear in the points of ``x``, two sums over the n!
+generators need no enumeration.  ``top_generators`` lists those with
+``A >= 0`` by branch and bound over the rows of ``T_X - T_O``.
+Every rectangle is a transposition that drops ``M`` by one, so
+``(-1)^M(x)`` is a global sign times the permutation sign of ``x``, and
+``euler_characteristic``, the sum of ``(-1)^M t^A``, is the determinant
+of the matrix of monomials ``t^((T_X - T_O)[r][c] / 2)`` (the grid
+determinant of Manolescu-Ozsvath-Sarkar), which ``determinant_alexander``
+divides by ``(1 - t^-1)^(n-1)`` to give the Alexander polynomial.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import getitem
 
-from .errors import NonIntegralAlexander
+from .errors import InexactDivision, NonIntegralAlexander
 from .grid import Grid
 
 __all__ = [
@@ -46,6 +56,9 @@ __all__ = [
     "bigrading_with_u",
     "maslov_index",
     "point_measure",
+    "top_generators",
+    "euler_characteristic",
+    "determinant_alexander",
 ]
 
 Point = tuple[Fraction, Fraction]
@@ -169,3 +182,151 @@ def maslov_index(coeffs, n: int, x: tuple[int, ...], y: tuple[int, ...]) -> Frac
         total += point_measure(coeffs, n, x[r], r)
         total += point_measure(coeffs, n, y[r], r)
     return total
+
+
+def top_generators(g: Grid) -> list[tuple[int, ...]]:
+    """The generators with ``A(x) >= 0``, in lexicographic order.
+
+    Branch and bound: the rows of ``T_X - T_O`` are placed widest spread
+    first, each over its columns in decreasing value, and a branch is cut
+    as soon as the maxima of the rows still open cannot reach A = 0.
+    A link grid raises NonIntegralAlexander: A is integral on every
+    generator or on none, so the identity generator decides.
+    """
+    n = g.n
+    alexander(g, tuple(range(n)))
+    pair = _grid_pairings(g)
+    t_xo = pair.t_xo
+    need = -pair.alexander_shift // 2  # least sum_r t_xo[r][x[r]] at A >= 0
+    order = sorted(range(n), key=lambda r: min(t_xo[r]) - max(t_xo[r]))
+    by_value = [sorted(range(n), key=lambda c: -t_xo[r][c]) for r in order]
+    rest = [0] * (n + 1)  # rest[k]: the maxima of rows order[k:], summed
+    for k in range(n - 1, -1, -1):
+        rest[k] = rest[k + 1] + max(t_xo[order[k]])
+    found = []
+    x = [0] * n
+
+    def place(k: int, used: int, total: int) -> None:
+        if k == n:
+            found.append(tuple(x))
+            return
+        r = order[k]
+        row = t_xo[r]
+        short = need - total - rest[k + 1]
+        for c in by_value[k]:
+            if row[c] < short:
+                break
+            if not used >> c & 1:
+                x[r] = c
+                place(k + 1, used | 1 << c, total + row[c])
+
+    place(0, 0, 0)
+    found.sort()
+    return found
+
+
+def _pmul(p: list[int], q: list[int]) -> list[int]:
+    """Product of two polynomials held as coefficient lists, lowest first."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _psub(p: list[int], q: list[int]) -> list[int]:
+    out = p + [0] * (len(q) - len(p))
+    for j, b in enumerate(q):
+        out[j] -= b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _pdiv(p: list[int], q: list[int]) -> list[int]:
+    """``p / q`` in Z[u]; raises InexactDivision unless ``q`` divides ``p``."""
+    p = list(p)
+    dq, lead = len(q) - 1, q[-1]
+    out = [0] * max(len(p) - dq, 0)
+    for i in range(len(out) - 1, -1, -1):
+        c, rem = divmod(p[i + dq], lead)
+        if rem:
+            raise InexactDivision("determinant elimination left a remainder")
+        out[i] = c
+        if c:
+            for j, b in enumerate(q):
+                p[i + j] -= c * b
+    if any(p[:dq]):
+        raise InexactDivision("determinant elimination left a remainder")
+    return out
+
+
+def euler_characteristic(g: Grid) -> dict[int, int]:
+    """``sum_x (-1)^M(x) t^A(x)`` over all n! generators, by the determinant.
+
+    Fraction-free (Bareiss) elimination on the matrix of monomials
+    ``u^t_xo[r][c]`` with ``u = t^(1/2)``, each row divided by its lowest
+    monomial so every entry is a polynomial.  The determinant is
+    ``sum_x sign(x) u^(sum_r t_xo[r][x[r]])``; the identity generator's
+    Maslov parity fixes the global sign.  Returns exponent -> nonzero
+    coefficient; raises NonIntegralAlexander on a link grid.
+    """
+    n = g.n
+    pair = _grid_pairings(g)
+    low = [min(row) for row in pair.t_xo]
+    m = [[[0] * (v - lo) + [1] for v in row]
+         for row, lo in zip(pair.t_xo, low)]
+    sign = -1 if maslov(g, tuple(range(n))) % 2 else 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return {}
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = _pdiv(_psub(_pmul(row[j], pivot),
+                                     _pmul(lead, top[j])), prev)
+        prev = pivot
+    shift = 2 * sum(low) + pair.alexander_shift  # 4A = 2 e + shift
+    chi = {}
+    for e, c in enumerate(m[n - 1][n - 1]):
+        if c:
+            if (2 * e + shift) % 4:
+                raise NonIntegralAlexander(
+                    "the grid determinant has half-integral exponents; "
+                    "the grid presents a multi-component link")
+            chi[(2 * e + shift) // 4] = sign * c
+    return chi
+
+
+def determinant_alexander(g: Grid) -> dict[int, int]:
+    """Alexander polynomial of the knot of ``g``, normalized to 1 at t = 1.
+
+    The generator Euler characteristic divided by ``(1 - t^-1)^(n-1)``;
+    returns exponent -> nonzero coefficient.
+    """
+    chi = euler_characteristic(g)
+    for _ in range(g.n - 1):
+        if not chi:
+            break
+        top, bottom = max(chi), min(chi)
+        quot, acc = {}, 0
+        for a in range(top, bottom, -1):  # chi_a = q_a - q_(a+1)
+            acc += chi.get(a, 0)
+            if acc:
+                quot[a] = acc
+        if acc + chi[bottom]:
+            raise InexactDivision("grid determinant is not divisible by "
+                                  "(1 - t^-1)^(n-1)")
+        chi = quot
+    if sum(chi.values()) < 0:
+        chi = {a: -c for a, c in chi.items()}
+    return chi

@@ -160,10 +160,16 @@ def poincare_string(poly: dict[tuple[int, int], int]) -> str:
     return " + ".join(terms)
 
 
-def _divide_once(diag: dict[int, int]) -> dict[int, int]:
-    """Divide sum(c_a x^a) by (1 + x^-1); raises if the remainder is nonzero."""
+def _divide_once(diag: dict[int, int],
+                 floor: int | None = None) -> dict[int, int]:
+    """Divide sum(c_a x^a) by (1 + x^-1), from the top down.
+
+    Raises if the remainder is nonzero.  With ``floor`` set, the quotient
+    stops at x^floor, which needs only the coefficients at ``a >= floor``
+    and leaves no remainder to check.
+    """
     top = max(diag)
-    bottom = min(diag)
+    bottom = min(diag) if floor is None else floor - 1
     quot: dict[int, int] = {}
     prev = 0
     for a in range(top, bottom, -1):
@@ -171,18 +177,26 @@ def _divide_once(diag: dict[int, int]) -> dict[int, int]:
         if cur:
             quot[a] = cur
         prev = cur
-    if diag.get(bottom, 0) - prev:
+    if floor is None and diag.get(bottom, 0) - prev:
         raise InexactDivision("tensor-factor division left a remainder")
     return quot
 
 
-def extract_hat(tilde: BigradedRanks, n: int) -> BigradedRanks:
+def extract_hat(tilde: BigradedRanks, n: int,
+                top_half: bool = False) -> BigradedRanks:
     """Peel n-1 two-step tensor factors off tilde homology.
 
     The tilde homology of an n x n grid is the hat invariant tensored with
     n-1 copies of a rank-two piece spanning bigradings (0, 0) and (-1, -1),
     so its Poincare polynomial is divisible by (1 + 1/(q t))^(n-1).  The
     quotient's coefficients are the hat ranks.
+
+    With ``top_half`` the table holds the tilde columns A >= 0 alone.
+    Dividing each diagonal from the top down gives the hat at A >= a from
+    the tilde columns at A >= a, so the division stops at A = 0, and the
+    groups at A < 0 follow from the symmetry HFK_d(s) = HFK_{d-2s}(-s).
+    Such a table has no remainder left to check: the grid determinant
+    certifies it instead (``invariants.certify_hat``).
     """
     if tilde.has_torsion:
         raise InexactDivision("tilde homology has torsion; cannot split off "
@@ -192,9 +206,10 @@ def extract_hat(tilde: BigradedRanks, n: int) -> BigradedRanks:
         if free:
             diagonals.setdefault(m - a, {})[a] = free
     blocks: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    floor = 0 if top_half else None
     for delta, diag in diagonals.items():
         for _ in range(n - 1):
-            diag = _divide_once(diag)
+            diag = _divide_once(diag, floor)
             if not diag:
                 break
         for a, coeff in diag.items():
@@ -203,4 +218,6 @@ def extract_hat(tilde: BigradedRanks, n: int) -> BigradedRanks:
                                       "coefficient")
             if coeff:
                 blocks[(a + delta, a)] = (coeff, ())
+                if top_half and a:
+                    blocks[(delta - a, -a)] = (coeff, ())
     return BigradedRanks(tilde.coefficients, blocks)

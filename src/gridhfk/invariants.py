@@ -5,6 +5,10 @@ groups, the genus is the width of the Alexander support, and fiberedness
 is detected by the top group being a single free summand.  The harness
 replays commutation and (de)stabilization moves and checks that the hat
 rank table never changes.
+
+The hat table is computed from the top half of the tilde complex and
+mirrored, then certified: its graded Euler characteristic must be the
+Alexander polynomial that the grid determinant gives independently.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .errors import (
     InvalidHomology,
     NotDestabilizable,
 )
+from .gradings import determinant_alexander
 from .grid import Grid, commute, destabilize, stabilize
 from .homology import BigradedRanks, extract_hat, homology
 from .signs import solve_signs
@@ -29,6 +34,7 @@ __all__ = [
     "InvarianceReport",
     "alexander_polynomial",
     "apply_move",
+    "certify_hat",
     "check_invariance",
     "fibered",
     "genus",
@@ -92,6 +98,22 @@ def _euler_by_alexander(hat: BigradedRanks) -> dict[int, int]:
     for (m, a), (free, _) in hat.blocks.items():
         chi[a] += (-1) ** m * free
     return {a: c for a, c in chi.items() if c}
+
+
+def certify_hat(g: Grid, hat: BigradedRanks) -> None:
+    """Check chi(hat) against +-Delta from the grid determinant.
+
+    Raises InvalidHomology on a mismatch.  Over F2 as over Z the free
+    ranks' Euler characteristic is the integral polynomial, so the check
+    is exact either way.
+    """
+    chi = _euler_by_alexander(hat)
+    delta = determinant_alexander(g)
+    if chi != delta and chi != {a: -c for a, c in delta.items()}:
+        raise InvalidHomology(
+            f"hat Euler characteristic {dict(sorted(chi.items()))} is not "
+            f"+-{dict(sorted(delta.items()))}, the grid determinant's "
+            "Alexander polynomial")
 
 
 def alexander_polynomial(hat: BigradedRanks) -> AlexanderPolynomial:
@@ -203,10 +225,17 @@ def legal_moves(g: Grid, max_grid: int = 7) -> list[MoveDescriptor]:
 
 def hat_homology(g: Grid, coefficients: str = "F2",
                  max_grid: int = 9) -> BigradedRanks:
-    """Hat rank table of the knot presented by ``g``."""
+    """Hat rank table of the knot presented by ``g``.
+
+    Built from the tilde columns A >= 0 alone, mirrored, and certified
+    against the grid determinant.
+    """
     signs = solve_signs(g, max_grid) if coefficients == "Z" else None
-    tilde = homology(build_tilde_complex(g, coefficients, signs, max_grid))
-    return extract_hat(tilde, g.n)
+    tilde = homology(build_tilde_complex(g, coefficients, signs, max_grid,
+                                         top_half=True))
+    hat = extract_hat(tilde, g.n, top_half=True)
+    certify_hat(g, hat)
+    return hat
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,18 @@ def test_validation_errors_exit_2(capsys):
         assert err.startswith("gridhfk: validation error:")
 
 
+def test_homology_on_a_link_grid_exits_2(capsys):
+    """The hat path lists the generators at A >= 0; a link has none integral."""
+    hopf = "4;X=0,1,2,3;O=2,3,0,1"
+    for argv in (["homology", hopf], ["homology", hopf, "--coefficients", "z"],
+                 ["genus", hopf, "--coefficients", "f2"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert err.startswith("gridhfk: validation error: Alexander grading")
+        assert "multi-component link" in err
+
+
 def test_validation_error_json_stderr(capsys):
     rc, _, err = run(capsys,
                      ["moves", "commute", TREFOIL, "row", "0", "--json"])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import KNOT8, TREFOIL5
-from gridhfk.complexes import connecting_domain, enumerate_generators, rect_moves_from
+from gridhfk.complexes import connecting_domain, enumerate_generators, move_table
 from gridhfk.errors import NonIntegralAlexander
 from gridhfk.gradings import (
     alexander,
@@ -167,6 +167,13 @@ def test_bigrading_with_u_shifts():
         bigrading_with_u(g, (0, 1), (1,))
     with pytest.raises(ValueError):
         bigrading_with_u(g, (0, 1), (-1, 0))
+
+
+def rect_moves_from(g, x):
+    """Empty rectangles out of ``x`` with their target generators."""
+    table = move_table(g)
+    i = table.gen_index[x]
+    return [(table.rects[rid], table.gens[j]) for rid, j in table.moves[i]]
 
 
 def test_empty_rectangles_have_index_one():
