@@ -22,9 +22,10 @@ rectangles for ``d > 1``, marking-free ones at ``d = 1``.  The sign
 solver alone reads the table of every empty rectangle.
 
 Marking-free rectangles keep the Alexander grading, so the tilde complex
-also comes in a top half: the generators with ``A >= 0`` alone, listed
-without the n! enumeration, with the marking-free table over just them.
-The hat path needs no more (see ``homology.extract_hat``).
+also comes in a top half: the generators with ``A >= TOP_HALF_FLOOR``
+alone, listed without the n! enumeration, with the marking-free table
+over just them.  That is the columns ``A >= 0``, which give the hat, and
+the column ``A = -1``, which checks it (see ``homology.extract_hat``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ Generator = tuple[int, ...]
 
 DEFAULT_MAX_GRID = 9
 DEFAULT_MAX_ELEMENTS = 200_000
+# lowest Alexander grading of the top half: A >= 0 and one column below
+TOP_HALF_FLOOR = -1
 
 
 def enumerate_generators(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> list[Generator]:
@@ -164,15 +167,11 @@ class MoveTable:
         x_cols, o_cols = g.x_cols, g.o_cols
         self.rects: list[Rectangle] = []
         sides = range(1, n)
-        for a, b, w in itertools.product(range(n), range(n), sides):
-            xs = os_ = ()
-            for h in sides:  # each height adds row b + h - 1
-                r = (b + h - 1) % n
-                if (x_cols[r] - a) % n < w:
-                    xs += (r,)
-                if (o_cols[r] - a) % n < w:
-                    os_ += (r,)
-                self.rects.append(Rectangle(n, a, b, w, h, xs, os_))
+        for a, b, w, h in itertools.product(range(n), range(n), sides, sides):
+            rows = [(b + dr) % n for dr in range(h)]
+            xs = tuple(r for r in rows if (x_cols[r] - a) % n < w)
+            os_ = tuple(r for r in rows if (o_cols[r] - a) % n < w)
+            self.rects.append(Rectangle(n, a, b, w, h, xs, os_))
         scans = _scans(g, cls)
         self.moves: list[list[tuple[int, int]]] = []
         for x in self.gens:
@@ -268,8 +267,9 @@ def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID,
 
     ``max_grid`` only gates the build, so it is checked here and left out
     of the cache key: every call for one grid and class gets one table.
-    With ``top_half`` the table covers only the generators with A >= 0,
-    which the marking-free class ``"XO"`` alone never leaves.
+    With ``top_half`` the table covers only the generators with
+    ``A >= TOP_HALF_FLOOR``, which the marking-free class ``"XO"`` alone
+    never leaves.
     """
     _check_grid_size(g, max_grid)
     if top_half and cls != "XO":
@@ -280,7 +280,7 @@ def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID,
 @lru_cache(maxsize=8)
 def _cached_table(g: Grid, cls: str, top_half: bool) -> MoveTable:
     if top_half:
-        return MoveTable(g, g.n, cls, top_generators(g))
+        return MoveTable(g, g.n, cls, top_generators(g, TOP_HALF_FLOOR))
     return MoveTable(g, g.n, cls)
 
 
@@ -451,7 +451,7 @@ def build_tilde_complex(g: Grid, coefficients: str = "F2", signs=None,
     """Fully blocked complex: the minus complex at d = 1, on bare generators.
 
     With ``top_half``, only its direct summand on the generators with
-    A >= 0.
+    ``A >= TOP_HALF_FLOOR``.
     """
     return _complex(g, 1, coefficients, signs, "tilde", max_grid, None,
                     top_half)

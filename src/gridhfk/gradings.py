@@ -30,7 +30,8 @@ rationals is the reference the tests check both against.
 
 Because ``A`` is linear in the points of ``x``, two sums over the n!
 generators need no enumeration.  ``top_generators`` lists those with
-``A >= 0`` by branch and bound over the rows of ``T_X - T_O``.
+``A`` at or above a floor by branch and bound over the rows of
+``T_X - T_O``.
 Every rectangle is a transposition that drops ``M`` by one, so
 ``(-1)^M(x)`` is a global sign times the permutation sign of ``x``, and
 ``euler_characteristic``, the sum of ``(-1)^M t^A``, is the determinant
@@ -184,12 +185,12 @@ def maslov_index(coeffs, n: int, x: tuple[int, ...], y: tuple[int, ...]) -> Frac
     return total
 
 
-def top_generators(g: Grid) -> list[tuple[int, ...]]:
-    """The generators with ``A(x) >= 0``, in lexicographic order.
+def top_generators(g: Grid, floor: int) -> list[tuple[int, ...]]:
+    """The generators with ``A(x) >= floor``, in lexicographic order.
 
     Branch and bound: the rows of ``T_X - T_O`` are placed widest spread
     first, each over its columns in decreasing value, and a branch is cut
-    as soon as the maxima of the rows still open cannot reach A = 0.
+    as soon as the maxima of the rows still open cannot reach ``floor``.
     A link grid raises NonIntegralAlexander: A is integral on every
     generator or on none, so the identity generator decides.
     """
@@ -197,7 +198,8 @@ def top_generators(g: Grid) -> list[tuple[int, ...]]:
     alexander(g, tuple(range(n)))
     pair = _grid_pairings(g)
     t_xo = pair.t_xo
-    need = -pair.alexander_shift // 2  # least sum_r t_xo[r][x[r]] at A >= 0
+    # least sum_r t_xo[r][x[r]] at A >= floor, as 4 A = 2 sum + shift
+    need = (4 * floor - pair.alexander_shift) // 2
     order = sorted(range(n), key=lambda r: min(t_xo[r]) - max(t_xo[r]))
     by_value = [sorted(range(n), key=lambda c: -t_xo[r][c]) for r in order]
     rest = [0] * (n + 1)  # rest[k]: the maxima of rows order[k:], summed
@@ -205,13 +207,17 @@ def top_generators(g: Grid) -> list[tuple[int, ...]]:
         rest[k] = rest[k + 1] + max(t_xo[order[k]])
     found = []
     x = [0] * n
+    full = (1 << n) - 1
 
     def place(k: int, used: int, total: int) -> None:
-        if k == n:
-            found.append(tuple(x))
-            return
         r = order[k]
         row = t_xo[r]
+        if k == n - 1:  # one column is left
+            c = (full ^ used).bit_length() - 1
+            if row[c] >= need - total:
+                x[r] = c
+                found.append(tuple(x))
+            return
         short = need - total - rest[k + 1]
         for c in by_value[k]:
             if row[c] < short:
@@ -254,25 +260,25 @@ def _pdiv(p: list[int], q: list[int]) -> list[int]:
     for i in range(len(out) - 1, -1, -1):
         c, rem = divmod(p[i + dq], lead)
         if rem:
-            raise InexactDivision("determinant elimination left a remainder")
+            raise InexactDivision("polynomial division left a remainder")
         out[i] = c
         if c:
             for j, b in enumerate(q):
                 p[i + j] -= c * b
     if any(p[:dq]):
-        raise InexactDivision("determinant elimination left a remainder")
+        raise InexactDivision("polynomial division left a remainder")
     return out
 
 
-def euler_characteristic(g: Grid) -> dict[int, int]:
-    """``sum_x (-1)^M(x) t^A(x)`` over all n! generators, by the determinant.
+def _determinant(g: Grid) -> tuple[list[int], int]:
+    """``sum_x (-1)^M(x) u^e(x)`` as a coefficient list, and its shift.
 
     Fraction-free (Bareiss) elimination on the matrix of monomials
     ``u^t_xo[r][c]`` with ``u = t^(1/2)``, each row divided by its lowest
     monomial so every entry is a polynomial.  The determinant is
-    ``sum_x sign(x) u^(sum_r t_xo[r][x[r]])``; the identity generator's
-    Maslov parity fixes the global sign.  Returns exponent -> nonzero
-    coefficient; raises NonIntegralAlexander on a link grid.
+    ``sum_x sign(x) u^e(x)`` with ``e(x) = sum_r (t_xo[r][x[r]] - low_r)``;
+    the identity generator's Maslov parity fixes the global sign, and
+    ``4 A(x) = 2 e(x) + shift``.
     """
     n = g.n
     pair = _grid_pairings(g)
@@ -280,12 +286,13 @@ def euler_characteristic(g: Grid) -> dict[int, int]:
     m = [[[0] * (v - lo) + [1] for v in row]
          for row, lo in zip(pair.t_xo, low)]
     sign = -1 if maslov(g, tuple(range(n))) % 2 else 1
+    shift = 2 * sum(low) + pair.alexander_shift
     prev = [1]
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return {}
+                return [], shift
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot, top = m[k][k], m[k]
@@ -295,38 +302,42 @@ def euler_characteristic(g: Grid) -> dict[int, int]:
                 row[j] = _pdiv(_psub(_pmul(row[j], pivot),
                                      _pmul(lead, top[j])), prev)
         prev = pivot
-    shift = 2 * sum(low) + pair.alexander_shift  # 4A = 2 e + shift
-    chi = {}
-    for e, c in enumerate(m[n - 1][n - 1]):
+    return [sign * c for c in m[n - 1][n - 1]], shift
+
+
+def _in_t(poly: list[int], shift: int) -> dict[int, int]:
+    """``sum_e poly[e] t^((2 e + shift) / 4)`` as exponent -> coefficient."""
+    out = {}
+    for e, c in enumerate(poly):
         if c:
             if (2 * e + shift) % 4:
                 raise NonIntegralAlexander(
                     "the grid determinant has half-integral exponents; "
                     "the grid presents a multi-component link")
-            chi[(2 * e + shift) // 4] = sign * c
-    return chi
+            out[(2 * e + shift) // 4] = c
+    return out
+
+
+def euler_characteristic(g: Grid) -> dict[int, int]:
+    """``sum_x (-1)^M(x) t^A(x)`` over all n! generators, by the determinant.
+
+    Returns exponent -> nonzero coefficient; raises NonIntegralAlexander
+    on a link grid.
+    """
+    return _in_t(*_determinant(g))
 
 
 def determinant_alexander(g: Grid) -> dict[int, int]:
     """Alexander polynomial of the knot of ``g``, normalized to 1 at t = 1.
 
-    The generator Euler characteristic divided by ``(1 - t^-1)^(n-1)``;
-    returns exponent -> nonzero coefficient.
+    The generator Euler characteristic divided by ``(1 - t^-1)^(n-1)``,
+    which is ``u^-2 (u^2 - 1)`` once per factor; returns exponent ->
+    nonzero coefficient.
     """
-    chi = euler_characteristic(g)
+    poly, shift = _determinant(g)
     for _ in range(g.n - 1):
-        if not chi:
-            break
-        top, bottom = max(chi), min(chi)
-        quot, acc = {}, 0
-        for a in range(top, bottom, -1):  # chi_a = q_a - q_(a+1)
-            acc += chi.get(a, 0)
-            if acc:
-                quot[a] = acc
-        if acc + chi[bottom]:
-            raise InexactDivision("grid determinant is not divisible by "
-                                  "(1 - t^-1)^(n-1)")
-        chi = quot
-    if sum(chi.values()) < 0:
-        chi = {a: -c for a, c in chi.items()}
-    return chi
+        poly = _pdiv(poly, [-1, 0, 1])
+    delta = _in_t(poly, shift + 4 * (g.n - 1))
+    if sum(delta.values()) < 0:
+        delta = {a: -c for a, c in delta.items()}
+    return delta

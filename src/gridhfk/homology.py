@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainComplex
-from .errors import InexactDivision, InvalidDifferential, OverflowGuard
+from .complexes import TOP_HALF_FLOOR, ChainComplex
+from .errors import (
+    AsymmetryDetected,
+    InexactDivision,
+    InvalidDifferential,
+    OverflowGuard,
+)
 from .linalg import f2_rank, invariant_factors
 
 __all__ = [
@@ -191,12 +196,16 @@ def extract_hat(tilde: BigradedRanks, n: int,
     so its Poincare polynomial is divisible by (1 + 1/(q t))^(n-1).  The
     quotient's coefficients are the hat ranks.
 
-    With ``top_half`` the table holds the tilde columns A >= 0 alone.
-    Dividing each diagonal from the top down gives the hat at A >= a from
-    the tilde columns at A >= a, so the division stops at A = 0, and the
-    groups at A < 0 follow from the symmetry HFK_d(s) = HFK_{d-2s}(-s).
-    Such a table has no remainder left to check: the grid determinant
-    certifies it instead (``invariants.certify_hat``).
+    With ``top_half`` the table holds the tilde columns A >= -1 alone
+    (``complexes.TOP_HALF_FLOOR``).  Dividing each diagonal from the top
+    down gives the hat at A >= a from the tilde columns at A >= a, so the
+    division stops at A = -1.  The symmetry HFK_d(s) = HFK_{d-2s}(-s)
+    keeps each diagonal d - s, so on every diagonal the hat at A = -1
+    must equal the hat at A = 1, else AsymmetryDetected.  That check
+    stands in for the remainder check of the full division: one wrong
+    tilde rank on a diagonal, at any A >= -1, moves the quotient at A = -1
+    and at A = 1 by different amounts once n > 2.  The groups at A < 0 are
+    then the mirror of those at A > 0.
     """
     if tilde.has_torsion:
         raise InexactDivision("tilde homology has torsion; cannot split off "
@@ -206,17 +215,22 @@ def extract_hat(tilde: BigradedRanks, n: int,
         if free:
             diagonals.setdefault(m - a, {})[a] = free
     blocks: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    floor = 0 if top_half else None
+    floor = TOP_HALF_FLOOR if top_half else None
     for delta, diag in diagonals.items():
         for _ in range(n - 1):
             diag = _divide_once(diag, floor)
             if not diag:
                 break
+        if top_half and any(diag.get(a, 0) != diag.get(-a, 0)
+                            for a in range(floor, 0)):
+            raise AsymmetryDetected(
+                f"hat ranks at A < 0 on diagonal M - A = {delta} are not "
+                "the mirror of those at A > 0")
         for a, coeff in diag.items():
             if coeff < 0:
                 raise InexactDivision("tensor-factor quotient has a negative "
                                       "coefficient")
-            if coeff:
+            if coeff and (a >= 0 or not top_half):
                 blocks[(a + delta, a)] = (coeff, ())
                 if top_half and a:
                     blocks[(delta - a, -a)] = (coeff, ())

@@ -7,8 +7,9 @@ replays commutation and (de)stabilization moves and checks that the hat
 rank table never changes.
 
 The hat table is computed from the top half of the tilde complex and
-mirrored, then certified: its graded Euler characteristic must be the
-Alexander polynomial that the grid determinant gives independently.
+mirrored, the column A = -1 checking the mirror, and then its graded
+Euler characteristic must be the Alexander polynomial that the grid
+determinant gives independently.
 """
 
 from __future__ import annotations
@@ -106,6 +107,13 @@ def certify_hat(g: Grid, hat: BigradedRanks) -> None:
     Raises InvalidHomology on a mismatch.  Over F2 as over Z the free
     ranks' Euler characteristic is the integral polynomial, so the check
     is exact either way.
+
+    The Euler characteristic of a complex depends on its generators, not
+    on its differential, so this guards the listing of the top half, the
+    gradings, the division and the mirror, but no wrong differential: one
+    that loses a rank moves two ranks (M, A) and (M - 1, A) together and
+    leaves chi as it was.  The differential is checked by the column
+    A = -1 in ``extract_hat``.
     """
     chi = _euler_by_alexander(hat)
     delta = determinant_alexander(g)
@@ -227,7 +235,7 @@ def hat_homology(g: Grid, coefficients: str = "F2",
                  max_grid: int = 9) -> BigradedRanks:
     """Hat rank table of the knot presented by ``g``.
 
-    Built from the tilde columns A >= 0 alone, mirrored, and certified
+    Built from the tilde columns A >= -1 alone, mirrored, and checked
     against the grid determinant.
     """
     signs = solve_signs(g, max_grid) if coefficients == "Z" else None

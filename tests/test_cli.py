@@ -289,7 +289,7 @@ def test_validation_errors_exit_2(capsys):
 
 
 def test_homology_on_a_link_grid_exits_2(capsys):
-    """The hat path lists the generators at A >= 0; a link has none integral."""
+    """The hat path lists the generators at A >= -1; a link has none integral."""
     hopf = "4;X=0,1,2,3;O=2,3,0,1"
     for argv in (["homology", hopf], ["homology", hopf, "--coefficients", "z"],
                  ["genus", hopf, "--coefficients", "f2"]):

@@ -301,11 +301,12 @@ def test_genus_refuses_impossible_tables(blocks):
 
 
 def test_knot8_f2_hat():
-    """n = 8: the hat reads the 1,005 generators at A >= 0 of 40,320.
+    """n = 8: the hat reads the 1,005 generators at A >= 0 of 40,320, and
+    the 3,671 at A = -1 that check them.
 
     The full marking-free table, which it no longer builds, holds 131,520
     of the 836,352 moves.
     """
     assert hat_homology(KNOT8, "F2").blocks == {(0, 0): (1, ())}
-    assert len(move_table(KNOT8, cls="XO", top_half=True).gens) == 1005
+    assert len(move_table(KNOT8, cls="XO", top_half=True).gens) == 4676
     assert sum(map(len, move_table(KNOT8, cls="XO").moves)) == 131_520

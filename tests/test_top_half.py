@@ -1,8 +1,9 @@
 """Top-half hat and the grid determinant.
 
-The hat path builds the tilde columns A >= 0 alone, mirrors them, and
-certifies the result against the Alexander polynomial of the grid
-determinant.  The oracle is the full path: every tilde column, then
+The hat path builds the tilde columns A >= -1 alone, divides them down
+to A = -1, checks the column A = -1 against the mirror of A = 1, mirrors
+the rest, and checks the result against the Alexander polynomial of the
+grid determinant.  The oracle is the full path: every tilde column, then
 ``extract_hat`` with its remainder check.
 """
 
@@ -25,12 +26,17 @@ from conftest import (
 )
 from gridhfk import complexes
 from gridhfk.complexes import (
+    TOP_HALF_FLOOR,
     MoveTable,
     build_tilde_complex,
     enumerate_generators,
     move_table,
 )
-from gridhfk.errors import InvalidHomology, NonIntegralAlexander
+from gridhfk.errors import (
+    AsymmetryDetected,
+    InvalidHomology,
+    NonIntegralAlexander,
+)
 from gridhfk.gradings import (
     alexander,
     determinant_alexander,
@@ -117,19 +123,46 @@ def test_certificate_refuses_one_changed_rank(g):
             certify_hat(g, BigradedRanks("F2", changed))
 
 
+def bump(blocks, *bigradings):
+    """``blocks`` with one more free rank at each bigrading."""
+    out = dict(blocks)
+    for ma in bigradings:
+        free, tors = out.get(ma, (0, ()))
+        out[ma] = (free + 1, tors)
+    return out
+
+
+@pytest.mark.parametrize("g", [TREFOIL5, FIG8], ids=["trefoil5", "fig8"])
+def test_a_lost_differential_rank_passes_the_certificate_not_the_mirror(g):
+    """A differential that loses one rank out of (M, A) raises the homology
+    at (M, A) and (M - 1, A) together.  chi does not see that; the column
+    A = -1 of the top half does, wherever the pair sits."""
+    hat = hat_homology(g, "F2")
+    for m, a in hat.blocks:
+        certify_hat(g, BigradedRanks("F2", bump(hat.blocks, (m, a),
+                                                (m - 1, a))))
+    tilde = homology(build_tilde_complex(g, "F2", top_half=True))
+    assert min(a for _, a in tilde.blocks) == TOP_HALF_FLOOR
+    for m, a in tilde.blocks:
+        lost = BigradedRanks("F2", bump(tilde.blocks, (m, a), (m - 1, a)))
+        with pytest.raises(AsymmetryDetected, match="mirror"):
+            extract_hat(lost, g.n, top_half=True)
+
+
 # ------------------------------------------------------------ the subset
 
-def test_top_generators_are_those_with_nonnegative_alexander():
+def test_top_generators_are_those_at_or_above_the_floor():
     rng = random.Random(11)
     grids = [random_knot_grid(n, rng) for n in (2, 3, 4, 5, 5, 6, 6, 7)]
     for g in grids + [TREFOIL5, FIG8, TORUS34, TWIST52]:
-        assert top_generators(g) == \
-            [x for x in enumerate_generators(g) if alexander(g, x) >= 0]
+        for floor in (1, 0, -1, -3):
+            assert top_generators(g, floor) == [
+                x for x in enumerate_generators(g) if alexander(g, x) >= floor]
 
 
 def test_top_generators_refuse_links():
     with pytest.raises(NonIntegralAlexander, match="multi-component link"):
-        top_generators(HOPF)
+        top_generators(HOPF, 0)
 
 
 def test_top_half_table_is_the_full_table_restricted():
@@ -149,9 +182,10 @@ def test_top_half_table_only_for_marking_free_moves():
 
 
 def test_knot8_subset_pinned():
-    """knot8 has 1,005 generators at A >= 0 of 40,320."""
-    assert len(top_generators(KNOT8)) == 1005
-    assert len(move_table(KNOT8, cls="XO", top_half=True).gens) == 1005
+    """knot8 has 1,005 generators at A >= 0 of 40,320, and 3,671 at -1."""
+    assert len(top_generators(KNOT8, 0)) == 1005
+    assert len(top_generators(KNOT8, -1)) == 1005 + 3671
+    assert len(move_table(KNOT8, cls="XO", top_half=True).gens) == 4676
 
 
 def test_hat_path_builds_only_the_top_half_table(monkeypatch):
@@ -166,7 +200,7 @@ def test_hat_path_builds_only_the_top_half_table(monkeypatch):
     complexes._cached_table.cache_clear()
     try:
         assert hat_homology(KNOT8, "F2").blocks == {(0, 0): (1, ())}
-        assert builds == [("XO", 1005)]
+        assert builds == [("XO", 4676)]
     finally:
         complexes._cached_table.cache_clear()
 
