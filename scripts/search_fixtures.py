@@ -34,10 +34,9 @@ from fractions import Fraction
 sys.path.insert(0, "src")
 
 from gridhfk.complexes import (
+    Generator,
     build_tilde_complex,
     enumerate_generators,
-    gen_from_colstring,
-    gen_to_colstring,
     move_table,
 )
 from gridhfk.gradings import (
@@ -74,6 +73,22 @@ DELTA = {
     "torus-34": {3: 1, 2: -1, 0: 1, -2: -1, -3: 1},
     "granny": {2: 1, 1: -2, 0: 3, -1: -2, -2: 1},
 }
+
+
+def gen_to_colstring(x: Generator) -> str:
+    """Digits by column: character ``i`` is the row met on vertical circle i."""
+    inv = [0] * len(x)
+    for r, c in enumerate(x):
+        inv[c] = r
+    return "".join(str(r) for r in inv)
+
+
+def gen_from_colstring(s: str) -> Generator:
+    rows = [int(ch) for ch in s]
+    x = [0] * len(rows)
+    for col, row in enumerate(rows):
+        x[row] = col
+    return tuple(x)
 
 
 # ------------------------------------------------------- fast Euler char.

@@ -48,8 +48,6 @@ from .complexes import (
     build_tilde_complex,
     connecting_domain,
     enumerate_generators,
-    gen_from_colstring,
-    gen_to_colstring,
 )
 from .homology import BigradedRanks, extract_hat, homology, poincare_string
 from .signs import SignAssignment, solve_signs
@@ -62,6 +60,7 @@ from .invariants import (
     check_invariance,
     fibered,
     genus,
+    grid_alexander_polynomial,
     hat_homology,
     legal_moves,
 )

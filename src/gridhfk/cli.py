@@ -36,12 +36,12 @@ from .errors import GridFormatError, ResourceLimit, UnsatisfiableSigns
 from .grid import Grid, grid_from_json, parse_grid, serialize_grid
 from .homology import BigradedRanks, extract_hat, homology
 from .invariants import (
-    alexander_polynomial,
     apply_move,
     certify_hat,
     check_invariance,
     fibered,
     genus,
+    grid_alexander_polynomial,
     hat_homology,
 )
 from .poset import poset_stats
@@ -231,8 +231,8 @@ def _hat_for(args) -> tuple[Grid, BigradedRanks]:
 
 
 def _cmd_alexander(args) -> int:
-    g, hat = _hat_for(args)
-    poly = alexander_polynomial(hat)
+    g = load_grid(args.grid)
+    poly = grid_alexander_polynomial(g, _coefficients(args), args.max_grid)
     text = str(poly) + ("  (coefficients mod 2)" if poly.mod2 else "")
     _print(args, [text], {
         "command": "alexander",

@@ -19,7 +19,9 @@ complex.  The tilde complex is its ``d = 1`` truncation, where only the
 rectangles meeting no marking at all survive, on bare generator labels.
 The builder reads the move table of just the class it counts: X-free
 rectangles for ``d > 1``, marking-free ones at ``d = 1``.  The sign
-solver alone reads the table of every empty rectangle.
+solver alone reads the table of every empty rectangle; over Z the builder
+asks it for one generator's signs at a time, keyed by ``Rectangle.id``,
+which every table of the grid shares.
 
 Marking-free rectangles keep the Alexander grading, so the tilde complex
 also comes in a top half: the generators with ``A >= TOP_HALF_FLOOR``
@@ -47,8 +49,6 @@ __all__ = [
     "Domain",
     "ChainComplex",
     "enumerate_generators",
-    "gen_to_colstring",
-    "gen_from_colstring",
     "move_table",
     "connecting_domain",
     "build_tilde_complex",
@@ -74,22 +74,6 @@ def _check_grid_size(g: Grid, max_grid: int) -> None:
         raise ResourceLimit(
             f"grid size {g.n} exceeds the ceiling {max_grid} "
             f"({factorial(g.n)} generators); raise max_grid to proceed")
-
-
-def gen_to_colstring(x: Generator) -> str:
-    """Digits by column: character ``i`` is the row met on vertical circle i."""
-    inv = [0] * len(x)
-    for r, c in enumerate(x):
-        inv[c] = r
-    return "".join(str(r) for r in inv)
-
-
-def gen_from_colstring(s: str) -> Generator:
-    rows = [int(ch) for ch in s]
-    x = [0] * len(rows)
-    for col, row in enumerate(rows):
-        x[row] = col
-    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -125,6 +109,13 @@ class Rectangle:
     def key(self) -> tuple[int, int, int, int]:
         return (self.col, self.row, self.width, self.height)
 
+    @property
+    def id(self) -> int:
+        """Position in the ``rects`` of every move table of the grid."""
+        m = self.n - 1
+        return ((self.col * self.n + self.row) * m + self.width - 1) * m \
+            + self.height - 1
+
 
 _MOVE_CLASSES = ("", "X", "XO")
 
@@ -153,14 +144,14 @@ class MoveTable:
     leaves no width.
     """
 
-    def __init__(self, g: Grid, max_grid: int = DEFAULT_MAX_GRID,
-                 cls: str = "", gens: list[Generator] | None = None):
+    def __init__(self, g: Grid, cls: str = "",
+                 gens: list[Generator] | None = None):
         if cls not in _MOVE_CLASSES:
             raise ValueError(f"unknown rectangle class {cls!r}")
         n = g.n
         if gens is None:
             _check_address_space(n, cls)
-            gens = enumerate_generators(g, max_grid)
+            gens = enumerate_generators(g, n)
         self.grid = g
         self.gens = gens
         gen_index = self.gen_index = {x: i for i, x in enumerate(self.gens)}
@@ -195,11 +186,6 @@ class MoveTable:
                         bound = w
             found.sort()
             self.moves.append([(rid, j) for _, rid, j in found])
-
-    def rect_id(self, rect: Rectangle) -> int:
-        n, m = rect.n, rect.n - 1
-        return ((rect.col * n + rect.row) * m + rect.width - 1) * m \
-            + rect.height - 1
 
 
 def _scans(g: Grid, cls: str) -> list[list[list[tuple[int, int, int, int]]]]:
@@ -280,8 +266,8 @@ def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID,
 @lru_cache(maxsize=8)
 def _cached_table(g: Grid, cls: str, top_half: bool) -> MoveTable:
     if top_half:
-        return MoveTable(g, g.n, cls, top_generators(g, TOP_HALF_FLOOR))
-    return MoveTable(g, g.n, cls)
+        return MoveTable(g, cls, top_generators(g, TOP_HALF_FLOOR))
+    return MoveTable(g, cls)
 
 
 @dataclass(frozen=True)
@@ -469,33 +455,13 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
              top_half: bool = False) -> ChainComplex:
     _check_coefficients(coefficients, signs)
     tilde = version == "tilde"
-    entry = signs.sign if coefficients == "Z" else _unit
-    if coefficients == "Z" and top_half:
-        entry = _top_half_signs(g, max_grid, signs)
-    labels, gradings, diff = _differential(
-        g, d, entry, tilde, max_grid, max_elements, top_half=top_half)
+    table = move_table(g, max_grid, _term_class(d), top_half)
+    ones = [1] * len(table.rects)
+    entry = signs.row if coefficients == "Z" else lambda x: ones
+    labels, gradings, diff = _differential(table, d, entry, tilde,
+                                           max_elements)
     return ChainComplex(coefficients, version, g, None if tilde else d,
                         labels, gradings, diff)
-
-
-def _unit(gen_id: int, rect_id: int) -> int:
-    return 1
-
-
-def _top_half_signs(g: Grid, max_grid: int, signs):
-    """``signs.sign`` on the ids of the top-half table.
-
-    The solver keys each sign by the generator's id in the full table, so
-    each top-half generator is looked up there, not by its position.
-    """
-    full = move_table(g, max_grid).gen_index
-    ids = [full[x] for x in move_table(g, max_grid, "XO", True).gens]
-    sign = signs.sign
-
-    def entry(gen_id: int, rect_id: int) -> int:
-        return sign(ids[gen_id], rect_id)
-
-    return entry
 
 
 def _term_class(d: int) -> str:
@@ -504,29 +470,27 @@ def _term_class(d: int) -> str:
     An O bump at d = 1 always reaches the bound, so only the
     marking-free rectangles give terms there.
     """
+    if d < 1:
+        raise ValueError(f"truncation bound must be positive, got {d}")
     return "XO" if d == 1 else "X"
 
 
-def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
+def _differential(table: MoveTable, d: int, entry, bare: bool,
                   max_elements: int | None,
-                  alexander_grading: int | None = None,
-                  top_half: bool = False):
+                  alexander_grading: int | None = None):
     """Labels, bigradings and rows of the differential truncated at ``d``.
 
-    The basis is each generator x times U^k, k in {0..d-1}^n, labelled
-    ``(x, k)``, or ``x`` alone when ``bare``; with ``alexander_grading``
-    set, only the elements of that grading, which the differential
-    preserves; with ``top_half`` (d = 1 only), only the generators of the
-    top-half table.  The terms come from the rectangles meeting no X; a term
-    is dropped when an exponent it bumps would reach ``d``, so at d = 1
-    only the rectangles meeting no marking remain, and only that class
-    of the move table is read.  Row ``i`` lists
-    ``(j, entry(gen_id, rect_id))`` for each term from element i to j.
+    The basis is each generator x of ``table`` times U^k, k in
+    {0..d-1}^n, labelled ``(x, k)``, or ``x`` alone when ``bare``; with
+    ``alexander_grading`` set, only the elements of that grading, which
+    the differential preserves.  The terms come from the rectangles
+    meeting no X; a term is dropped when an exponent it bumps would reach
+    ``d``, so at d = 1 only the rectangles meeting no marking remain, and
+    ``table`` is the class ``_term_class(d)``.  ``entry(x)`` is asked once
+    per generator for a row indexed by rectangle id, and row ``i`` lists
+    ``(j, entry(x)[rect_id])`` for each term from element i to j.
     """
-    if d < 1:
-        raise ValueError(f"truncation bound must be positive, got {d}")
-    table = move_table(g, max_grid, _term_class(d), top_half)
-    gens, moves, rects = table.gens, table.moves, table.rects
+    g, gens, moves, rects = table.grid, table.gens, table.moves, table.rects
     n = g.n
     size = d ** n
     if max_elements is not None and len(gens) * size > max_elements:
@@ -551,8 +515,11 @@ def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
             gradings.append((m - 2 * t, a - t))
 
     rows = []
+    last = None
     for b in (range(len(gens) * size) if index is None else index):
         i, e = divmod(b, size)
+        if i != last:
+            last, coeff = i, entry(gens[i])
         k = exps[e]
         row = []
         for rid, j in moves[i]:
@@ -563,8 +530,7 @@ def _differential(g: Grid, d: int, entry, bare: bool, max_grid: int,
                     break
                 j += step[r]
             else:
-                row.append((j if index is None else index[j],
-                            entry(i, rid)))
+                row.append((j if index is None else index[j], coeff[rid]))
         rows.append(row)
     return labels, gradings, rows
 

@@ -9,7 +9,7 @@ rank table never changes.
 The hat table is computed from the top half of the tilde complex and
 mirrored, the column A = -1 checking the mirror, and then its graded
 Euler characteristic must be the Alexander polynomial that the grid
-determinant gives independently.
+determinant gives independently; the polynomial alone needs no homology.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ import collections
 import random
 from dataclasses import dataclass
 
-from .complexes import build_tilde_complex
+from .complexes import DEFAULT_MAX_GRID, _check_grid_size, build_tilde_complex
 from .errors import (
     AsymmetryDetected,
     IllegalCommutation,
     InvalidHomology,
     NotDestabilizable,
 )
-from .gradings import determinant_alexander
+from .gradings import alexander, determinant_alexander
 from .grid import Grid, commute, destabilize, stabilize
 from .homology import BigradedRanks, extract_hat, homology
 from .signs import solve_signs
@@ -39,6 +39,7 @@ __all__ = [
     "check_invariance",
     "fibered",
     "genus",
+    "grid_alexander_polynomial",
     "hat_homology",
     "legal_moves",
 ]
@@ -97,7 +98,7 @@ class AlexanderPolynomial:
 def _euler_by_alexander(hat: BigradedRanks) -> dict[int, int]:
     chi: dict[int, int] = collections.defaultdict(int)
     for (m, a), (free, _) in hat.blocks.items():
-        chi[a] += (-1) ** m * free
+        chi[a] += -free if m % 2 else free  # (-1) ** m is a float at m < 0
     return {a: c for a, c in chi.items() if c}
 
 
@@ -132,8 +133,24 @@ def alexander_polynomial(hat: BigradedRanks) -> AlexanderPolynomial:
     upstream, not at the input knot.  Over F2 the coefficients are only
     determined mod 2 and the result is flagged.
     """
-    mod2 = hat.coefficients == "F2"
-    chi = _euler_by_alexander(hat)
+    return _normalized(_euler_by_alexander(hat), hat.coefficients == "F2")
+
+
+def grid_alexander_polynomial(g: Grid, coefficients: str = "Z",
+                              max_grid: int = DEFAULT_MAX_GRID
+                              ) -> AlexanderPolynomial:
+    """``alexander_polynomial(hat_homology(g, coefficients, max_grid))``
+    from the grid determinant alone, refusing the same grids: n over
+    ``max_grid``, then links, on the identity generator as the hat does.
+    A Z hat with torsion would fail; this still gives Delta.
+    """
+    _check_grid_size(g, max_grid)
+    alexander(g, tuple(range(g.n)))
+    return _normalized(determinant_alexander(g), coefficients == "F2")
+
+
+def _normalized(chi: dict[int, int], mod2: bool) -> AlexanderPolynomial:
+    """``chi`` checked for symmetry and value +-1 at t = 1, made 1 there."""
     if mod2:
         chi = {a: c % 2 for a, c in chi.items() if c % 2}
     for a, c in chi.items():
@@ -232,7 +249,7 @@ def legal_moves(g: Grid, max_grid: int = 7) -> list[MoveDescriptor]:
 
 
 def hat_homology(g: Grid, coefficients: str = "F2",
-                 max_grid: int = 9) -> BigradedRanks:
+                 max_grid: int = DEFAULT_MAX_GRID) -> BigradedRanks:
     """Hat rank table of the knot presented by ``g``.
 
     Built from the tilde columns A >= -1 alone, mirrored, and checked

@@ -153,10 +153,9 @@ def build_poset(g: Grid, a: int, mode: str = "hat",
     """
     d = _truncation(mode, truncation)
     hat = mode == "hat"
-    rects = move_table(g, max_grid, _term_class(d)).rects
+    table = move_table(g, max_grid, _term_class(d))
     elements, gradings, rows = _differential(
-        g, d, lambda i, rid: rects[rid], hat, max_grid,
-        None if hat else max_elements, a)
+        table, d, lambda x: table.rects, hat, None if hat else max_elements, a)
     return _make_poset(g, mode, truncation, a, elements,
                        [m for m, _ in gradings], rows)
 
@@ -180,16 +179,17 @@ def components(p: GridPoset, coefficients: str = "F2",
     """Connected components of the covering graph, with their homology.
 
     Each component is an honest direct summand of the chain complex, so
-    its homology is computed by restricting the differential to it.
+    its homology is computed by restricting the differential to it.  Over
+    Z each element's cover row reads the signs out of its generator.
     """
     m = len(p.elements)
-    table = move_table(p.grid) if coefficients == "Z" else None
 
-    def coeff(u: int, rect: Rectangle) -> int:
-        if table is None:
-            return 1
-        x, _ = p._split(p.elements[u])
-        return signs.sign(table.gen_index[x], table.rect_id(rect))
+    def coeffs(u: int) -> list[tuple[int, int]]:
+        """(lower, coefficient) pairs of element u's cover row."""
+        if coefficients != "Z":
+            return [(l, 1) for l, _ in p.covers[u]]
+        sign = signs.row(p._split(p.elements[u])[0])
+        return [(l, sign[rect.id]) for l, rect in p.covers[u]]
 
     adjacent = [[l for l, _ in row] for row in p.covers]
     for u, row in enumerate(p.covers):
@@ -212,8 +212,7 @@ def components(p: GridPoset, coefficients: str = "F2",
                     stack.append(w)
         comp.sort()
         local = {v: i for i, v in enumerate(comp)}
-        rows = [[(local[l], coeff(v, rect)) for l, rect in p.covers[v]]
-                for v in comp]
+        rows = [[(local[l], c) for l, c in coeffs(v)] for v in comp]
         cc = ChainComplex(coefficients, p.mode, p.grid, p.truncation,
                           [p.elements[v] for v in comp],
                           [(p.maslov[v], p.alexander) for v in comp], rows)

@@ -14,7 +14,8 @@ move graph to +1 and determines the rest.  Signs are encoded as F2
 exponents: one unknown per move, numbered by the move's position in the
 table's rows, and one linear constraint per composite group.  Unit
 propagation from the pinned tree determines every unknown, then every
-constraint is re-checked.
+constraint is re-checked.  The solution stays in that form, one byte per
+move, and is read one generator at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .complexes import DEFAULT_MAX_GRID, move_table
+from .complexes import DEFAULT_MAX_GRID, Generator, MoveTable, move_table
 from .errors import UnsatisfiableSigns
 from .grid import Grid
 
@@ -32,15 +33,28 @@ __all__ = ["SignAssignment", "solve_signs"]
 
 @dataclass(frozen=True)
 class SignAssignment:
-    """Solved +-1 labels, queried by (generator id, rectangle id)."""
+    """Solved +-1 labels on the moves of the full ``table``.
 
-    grid: Grid
-    exponents: dict[tuple[int, int], int]
-    n_variables: int
+    The t-th move out of generator i has the sign ``(-1)^values[first[i]
+    + t]``: the solver's own unknowns, with no copy keyed by move.
+    """
+
+    table: MoveTable
+    first: list[int]
+    values: bytearray
     n_constraints: int
 
-    def sign(self, gen_id: int, rect_id: int) -> int:
-        return -1 if self.exponents[(gen_id, rect_id)] else 1
+    @property
+    def n_variables(self) -> int:
+        return len(self.values)
+
+    def row(self, x: Generator) -> dict[int, int]:
+        """Signs of the moves out of generator ``x``, keyed by rectangle id."""
+        i = self.table.gen_index[x]
+        values = self.values
+        return {rid: -1 if values[v] else 1
+                for v, (rid, _) in enumerate(self.table.moves[i],
+                                             self.first[i])}
 
 
 def _thin_annulus_masks(n: int) -> tuple[set[int], set[int]]:
@@ -213,6 +227,4 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
                              list(cons_vars[cons_off[c]:cons_off[c + 1]]),
                              parity[c]))
 
-    exponents = {(i, rid): values[v] for i, row in enumerate(moves)
-                 for v, (rid, _) in enumerate(row, first[i])}
-    return SignAssignment(g, exponents, nvars, len(parity))
+    return SignAssignment(table, first, values, len(parity))

@@ -80,6 +80,24 @@ def test_alexander_torus34(capsys):
     assert out == "t^3 - t^2 + 1 - t^-2 + t^-3\n"
 
 
+def test_alexander_reads_the_grid_determinant(capsys):
+    """No homology: granny9 over Z prints Delta at once; the ceiling holds."""
+    rc, out, _ = run(capsys, ["alexander", GRANNY])
+    assert rc == 0
+    assert out == "t^2 - 2t + 3 - 2t^-1 + t^-2\n"
+    rc, out, err = run(capsys, ["alexander", TORUS34, "--max-grid", "6"])
+    assert rc == 3 and out == ""
+    assert "exceeds the ceiling 6" in err
+
+
+def test_alexander_json_coefficients_are_integers(capsys):
+    """fig8's hat has M = -1 at A = -1, where (-1) ** M is a float."""
+    rc, out, _ = run(capsys, ["alexander", str(FIX / "fig8.grid"), "--json"])
+    assert rc == 0
+    assert json.loads(out)["coefficients"] == [[1, -1], [0, 3], [-1, -1]]
+    assert "1.0" not in out
+
+
 def test_homology_hat_table(capsys):
     rc, out, _ = run(capsys, ["homology", TREFOIL])
     assert rc == 0
@@ -292,7 +310,7 @@ def test_homology_on_a_link_grid_exits_2(capsys):
     """The hat path lists the generators at A >= -1; a link has none integral."""
     hopf = "4;X=0,1,2,3;O=2,3,0,1"
     for argv in (["homology", hopf], ["homology", hopf, "--coefficients", "z"],
-                 ["genus", hopf, "--coefficients", "f2"]):
+                 ["genus", hopf, "--coefficients", "f2"], ["alexander", hopf]):
         rc, out, err = run(capsys, argv)
         assert rc == 2, argv
         assert out == ""

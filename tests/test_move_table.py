@@ -64,7 +64,7 @@ def test_class_tables_are_the_full_table_filtered(g):
         for cols, got in ((g.x_cols, rect.x_rows), (g.o_cols, rect.o_rows)):
             assert got == tuple(
                 r for r in rows if (cols[r] - rect.col) % n < rect.width)
-        assert full.rect_id(rect) == rid
+        assert rect.id == rid
     for cls in ("X", "XO"):
         table = move_table(g, cls=cls)
         assert table.gens == full.gens
@@ -95,9 +95,9 @@ def test_z_poset_components_reuse_the_sign_table(monkeypatch):
     builds = []
 
     class Counting(MoveTable):
-        def __init__(self, g, max_grid, cls=""):
+        def __init__(self, g, cls=""):
             builds.append(cls)
-            super().__init__(g, max_grid, cls)
+            super().__init__(g, cls)
 
     g = random_knot_grid(4, random.Random(7))
     monkeypatch.setattr(complexes, "MoveTable", Counting)

@@ -500,3 +500,33 @@ def test_poset_stats_minus_pinned():
         "tower": {"max_k": 4, "ok": True, "del2_in_boundaries": True},
         "el": {"intervals_checked": 200, "failures": 0, "ok": True},
     }
+
+
+def test_poset_stats_minus_z_pinned():
+    """Z components of (x, k) elements, signed by their generator's row."""
+    stats = poset_stats(TREFOIL5, "minus", 2, "Z", solve_signs(TREFOIL5))
+    assert [gr["elements"] for gr in stats["gradings"]] == \
+        [1, 10, 66, 261, 626, 956, 956, 626, 261, 66, 10, 1]
+    assert (stats["components_total"], stats["singletons"]) == (41, 12)
+    assert stats["parity"]["pairs"] == 30540
+    groups = [h for gr in stats["gradings"] for c in gr["components"]
+              for h in c["homology"]]
+    assert not any(h["torsion"] for h in groups)
+    nonzero = {gr["alexander"]: [
+        (c["size"], [(h["m"], h["free"]) for h in c["homology"]])
+        for c in gr["components"] if c["homology"]]
+        for gr in stats["gradings"]}
+    assert nonzero == {
+        -10: [(1, [(-14, 1)])],
+        -9: [],
+        -8: [(41, [(-12, 1)])] + [(1, [(-11, 1)])] * 5,
+        -7: [(241, [(-10, 1)])],
+        -6: [(621, [(-8, 5), (-9, 4)])] + [(1, [(-8, 1)])] * 5,
+        -5: [(956, [(-7, 4)])],
+        -4: [(956, [(-5, 10), (-6, 6)])],
+        -3: [(626, [(-4, 6)])],
+        -2: [(261, [(-2, 5), (-3, 4)])],
+        -1: [(66, [(-1, 4)])],
+        0: [(10, [(1, 1), (0, 1)])],
+        1: [(1, [(2, 1)])],
+    }

@@ -20,34 +20,35 @@ from gridhfk.signs import SignAssignment, _propagate, solve_signs
 UNKNOT2 = Grid(2, (0, 1), (1, 0))
 
 
-def _annulus_pair(table, i, *, col=None, row=None):
-    """The two moves decomposing the thin annulus at one band from gen i."""
-    first = None
-    for rid, j in table.moves[i]:
+def _annulus_pair(sa, i, *, col=None, row=None):
+    """Unknowns of the two moves closing the thin annulus at one band from i.
+
+    The first move leaves generator i, the second returns to it.
+    """
+    table = sa.table
+
+    def in_band(rid):
         rect = table.rects[rid]
-        if col is not None and rect.width == 1 and rect.col == col:
-            first = (rid, j)
-        if row is not None and rect.height == 1 and rect.row == row:
-            first = (rid, j)
-    assert first is not None
-    rid1, j = first
-    for rid2, k in table.moves[j]:
-        rect = table.rects[rid2]
-        if col is not None and rect.width == 1 and rect.col == col and k == i:
-            return (i, rid1), (j, rid2)
-        if row is not None and rect.height == 1 and rect.row == row and k == i:
-            return (i, rid1), (j, rid2)
-    raise AssertionError("no closing rectangle for the annulus")
+        if col is not None:
+            return rect.width == 1 and rect.col == col
+        return rect.height == 1 and rect.row == row
+
+    t1, j = next((t, j) for t, (rid, j) in enumerate(table.moves[i])
+                 if in_band(rid))
+    t2 = next(t for t, (rid, k) in enumerate(table.moves[j])
+              if in_band(rid) and k == i)
+    return sa.first[i] + t1, sa.first[j] + t2
 
 
 def _check_annulus_products(g, sa):
-    table = move_table(g)
-    for i in range(len(table.gens)):
+    """Vertical annuli multiply to -1, horizontal ones to +1."""
+    values = sa.values
+    for i in range(len(sa.table.gens)):
         for band in range(g.n):
-            (i1, r1), (j1, r2) = _annulus_pair(table, i, col=band)
-            assert sa.sign(i1, r1) * sa.sign(j1, r2) == -1
-            (i1, r1), (j1, r2) = _annulus_pair(table, i, row=band)
-            assert sa.sign(i1, r1) * sa.sign(j1, r2) == 1
+            v1, v2 = _annulus_pair(sa, i, col=band)
+            assert values[v1] ^ values[v2] == 1
+            v1, v2 = _annulus_pair(sa, i, row=band)
+            assert values[v1] ^ values[v2] == 0
 
 
 def test_unknot_vertical_annuli_multiply_to_minus_one():
@@ -72,17 +73,20 @@ def test_square_rule_makes_boundary_square_to_zero():
 
 
 def test_flip_at_one_generator_is_still_valid():
+    """Flipping every move into and out of one generator is a gauge move."""
     rng = random.Random(31)
     g = random_knot_grid(4, rng)
     sa = solve_signs(g)
-    table = move_table(g)
-    flipped = dict(sa.exponents)
+    table, first = sa.table, sa.first
     target = 7
-    for (i, rid), val in sa.exponents.items():
-        j = next(k for r, k in table.moves[i] if r == rid)
-        if (i == target) != (j == target):
-            flipped[(i, rid)] = val ^ 1
-    sa2 = SignAssignment(g, flipped, sa.n_variables, sa.n_constraints)
+    flipped = bytearray(sa.values)
+    for i, row in enumerate(table.moves):
+        for v, (_, j) in enumerate(row, first[i]):
+            if (i == target) != (j == target):
+                flipped[v] ^= 1
+    sa2 = SignAssignment(table, first, flipped, sa.n_constraints)
+    x = table.gens[target]
+    assert sa2.row(x) == {rid: -s for rid, s in sa.row(x).items()}
     cx = build_tilde_complex(g, "Z", sa2)
     assert not cx.d_squared()
     _check_annulus_products(g, sa2)

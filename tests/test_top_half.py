@@ -36,6 +36,7 @@ from gridhfk.errors import (
     AsymmetryDetected,
     InvalidHomology,
     NonIntegralAlexander,
+    ResourceLimit,
 )
 from gridhfk.gradings import (
     alexander,
@@ -46,7 +47,12 @@ from gridhfk.gradings import (
 )
 from gridhfk.grid import Grid, link_components, random_knot_grid, stabilize
 from gridhfk.homology import BigradedRanks, extract_hat, homology
-from gridhfk.invariants import certify_hat, hat_homology
+from gridhfk.invariants import (
+    alexander_polynomial,
+    certify_hat,
+    grid_alexander_polynomial,
+    hat_homology,
+)
 from gridhfk.signs import solve_signs
 
 HOPF = Grid(4, (0, 1, 2, 3), (2, 3, 0, 1))
@@ -102,6 +108,31 @@ def test_determinant_is_the_generator_sum():
 def test_determinant_refuses_links():
     with pytest.raises(NonIntegralAlexander):
         euler_characteristic(HOPF)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DELTA))
+def test_grid_alexander_polynomial_is_the_pinned_delta(name):
+    g, delta = PINNED_DELTA[name]
+    poly = grid_alexander_polynomial(g)
+    assert poly.as_dict() == delta and not poly.mod2
+
+
+@pytest.mark.parametrize("name, coefficients", [
+    (name, "F2") for name in ("unknot2", "trefoil5", "fig8", "torus34",
+                              "twist52", "composite6")] + [
+    (name, "Z") for name in ("unknot2", "trefoil5", "fig8", "composite6")])
+def test_grid_alexander_polynomial_matches_the_hat_route(name, coefficients):
+    g, _ = PINNED_DELTA[name]
+    hat = alexander_polynomial(hat_homology(g, coefficients))
+    assert grid_alexander_polynomial(g, coefficients) == hat
+    assert all(type(c) is int for _, c in hat.coeffs)
+
+
+def test_grid_alexander_polynomial_refuses_what_the_hat_route_refuses():
+    with pytest.raises(NonIntegralAlexander, match="Alexander grading"):
+        grid_alexander_polynomial(HOPF)
+    with pytest.raises(ResourceLimit, match="ceiling"):
+        grid_alexander_polynomial(TORUS34, max_grid=6)
 
 
 def test_certificate_accepts_the_hat_and_its_negative_sign():
@@ -188,21 +219,32 @@ def test_knot8_subset_pinned():
     assert len(move_table(KNOT8, cls="XO", top_half=True).gens) == 4676
 
 
-def test_hat_path_builds_only_the_top_half_table(monkeypatch):
-    builds = []
+@pytest.fixture
+def builds(monkeypatch):
+    """(class, generators) of each move table built during the test."""
+    out = []
 
     class Counting(MoveTable):
-        def __init__(self, g, max_grid, cls="", gens=None):
-            super().__init__(g, max_grid, cls, gens)
-            builds.append((cls, len(self.gens)))
+        def __init__(self, g, cls="", gens=None):
+            super().__init__(g, cls, gens)
+            out.append((cls, len(self.gens)))
 
     monkeypatch.setattr(complexes, "MoveTable", Counting)
     complexes._cached_table.cache_clear()
-    try:
-        assert hat_homology(KNOT8, "F2").blocks == {(0, 0): (1, ())}
-        assert builds == [("XO", 4676)]
-    finally:
-        complexes._cached_table.cache_clear()
+    yield out
+    complexes._cached_table.cache_clear()
+
+
+def test_hat_path_builds_only_the_top_half_table(builds):
+    assert hat_homology(KNOT8, "F2").blocks == {(0, 0): (1, ())}
+    assert builds == [("XO", 4676)]
+
+
+def test_z_hat_path_builds_the_sign_table_and_the_top_half_table(builds):
+    """The signs are read by generator, so no table maps the ids."""
+    assert hat_homology(FIG8, "Z").total_rank == 5
+    top = len(top_generators(FIG8, TOP_HALF_FLOOR))
+    assert builds == [("", 720), ("XO", top)]
 
 
 # ------------------------------------------------------------ the oracle
