@@ -50,7 +50,7 @@ from .complexes import (
     enumerate_generators,
 )
 from .homology import BigradedRanks, extract_hat, homology, poincare_string
-from .signs import SignAssignment, solve_signs
+from .signs import SignAssignment, move_sign, solve_signs
 from .invariants import (
     AlexanderPolynomial,
     InvarianceReport,

@@ -18,10 +18,12 @@ differential still squares to zero).  That is the truncated minus
 complex.  The tilde complex is its ``d = 1`` truncation, where only the
 rectangles meeting no marking at all survive, on bare generator labels.
 The builder reads the move table of just the class it counts: X-free
-rectangles for ``d > 1``, marking-free ones at ``d = 1``.  The sign
-solver alone reads the table of every empty rectangle; over Z the builder
-asks it for one generator's signs at a time, keyed by ``Rectangle.id``,
-which every table of the grid shares.
+rectangles for ``d > 1``, marking-free ones at ``d = 1``.  Over Z the
+builder asks for one generator's signs at a time, keyed by
+``Rectangle.id``, which every table of the grid shares: by default the
+closed form of ``signs.move_signs`` over the builder's own table, so only
+the sign solver (``check signs`` and the tests) reads the table of every
+empty rectangle.
 
 Marking-free rectangles keep the Alexander grading, so the tilde complex
 also comes in a top half: the generators with ``A >= TOP_HALF_FLOOR``
@@ -36,7 +38,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .errors import ResourceLimit
@@ -110,6 +112,11 @@ class Rectangle:
         return (self.col, self.row, self.width, self.height)
 
     @property
+    def top(self) -> int:
+        """Row of the upper-right corner: the second row a move swaps."""
+        return (self.row + self.height) % self.n
+
+    @property
     def id(self) -> int:
         """Position in the ``rects`` of every move table of the grid."""
         m = self.n - 1
@@ -124,7 +131,7 @@ class MoveTable:
     """The empty rectangles of one class out of every generator.
 
     ``cls`` names the markings a rectangle of the table may not cover:
-    ``""`` keeps every empty rectangle (the sign solver reads them all),
+    ``""`` keeps every empty rectangle (only the sign solver reads them all),
     ``"X"`` the X-free ones the minus differential counts, and ``"XO"``
     the marking-free ones of the tilde differential.  ``moves[i]`` lists
     ``(rect_id, target_generator_id)`` pairs, ordered by the two rows the
@@ -437,7 +444,8 @@ def build_tilde_complex(g: Grid, coefficients: str = "F2", signs=None,
     """Fully blocked complex: the minus complex at d = 1, on bare generators.
 
     With ``top_half``, only its direct summand on the generators with
-    ``A >= TOP_HALF_FLOOR``.
+    ``A >= TOP_HALF_FLOOR``.  Over Z the signs are the closed form of
+    ``signs.move_signs`` unless ``signs`` gives a solved assignment.
     """
     return _complex(g, 1, coefficients, signs, "tilde", max_grid, None,
                     top_half)
@@ -453,11 +461,18 @@ def build_minus_complex(g: Grid, d: int, coefficients: str = "F2", signs=None,
 def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
              max_grid: int, max_elements: int | None,
              top_half: bool = False) -> ChainComplex:
-    _check_coefficients(coefficients, signs)
+    _check_coefficients(coefficients)
     tilde = version == "tilde"
     table = move_table(g, max_grid, _term_class(d), top_half)
-    ones = [1] * len(table.rects)
-    entry = signs.row if coefficients == "Z" else lambda x: ones
+    if coefficients == "F2":
+        ones = [1] * len(table.rects)
+        entry = lambda x: ones
+    elif signs is None:
+        from .signs import move_signs  # signs imports this module
+
+        entry = partial(move_signs, table)
+    else:
+        entry = signs.row
     labels, gradings, diff = _differential(table, d, entry, tilde,
                                            max_elements)
     return ChainComplex(coefficients, version, g, None if tilde else d,
@@ -535,8 +550,6 @@ def _differential(table: MoveTable, d: int, entry, bare: bool,
     return labels, gradings, rows
 
 
-def _check_coefficients(coefficients: str, signs) -> None:
+def _check_coefficients(coefficients: str) -> None:
     if coefficients not in ("F2", "Z"):
         raise ValueError(f"coefficients must be 'F2' or 'Z', got {coefficients!r}")
-    if coefficients == "Z" and signs is None:
-        raise ValueError("integer coefficients need a solved sign assignment")

@@ -28,7 +28,6 @@ from .errors import (
 from .gradings import alexander, determinant_alexander
 from .grid import Grid, commute, destabilize, stabilize
 from .homology import BigradedRanks, extract_hat, homology
-from .signs import solve_signs
 
 __all__ = [
     "AlexanderPolynomial",
@@ -255,8 +254,7 @@ def hat_homology(g: Grid, coefficients: str = "F2",
     Built from the tilde columns A >= -1 alone, mirrored, and checked
     against the grid determinant.
     """
-    signs = solve_signs(g, max_grid) if coefficients == "Z" else None
-    tilde = homology(build_tilde_complex(g, coefficients, signs, max_grid,
+    tilde = homology(build_tilde_complex(g, coefficients, max_grid=max_grid,
                                          top_half=True))
     hat = extract_hat(tilde, g.n, top_half=True)
     certify_hat(g, hat)

@@ -37,6 +37,7 @@ from .errors import EmptyInterval, InvalidDifferential
 from .gradings import alexander, maslov  # noqa: F401
 from .grid import Grid
 from .homology import BigradedRanks, homology
+from .signs import move_sign
 
 __all__ = [
     "ELLabel",
@@ -180,7 +181,9 @@ def components(p: GridPoset, coefficients: str = "F2",
 
     Each component is an honest direct summand of the chain complex, so
     its homology is computed by restricting the differential to it.  Over
-    Z each element's cover row reads the signs out of its generator.
+    Z each cover takes the sign of its move out of the element's
+    generator: ``move_sign``'s closed form, unless ``signs`` gives a
+    solved assignment.
     """
     m = len(p.elements)
 
@@ -188,7 +191,11 @@ def components(p: GridPoset, coefficients: str = "F2",
         """(lower, coefficient) pairs of element u's cover row."""
         if coefficients != "Z":
             return [(l, 1) for l, _ in p.covers[u]]
-        sign = signs.row(p._split(p.elements[u])[0])
+        x = p._split(p.elements[u])[0]
+        if signs is None:
+            return [(l, move_sign(x, rect.row, rect.top))
+                    for l, rect in p.covers[u]]
+        sign = signs.row(x)
         return [(l, sign[rect.id]) for l, rect in p.covers[u]]
 
     adjacent = [[l for l, _ in row] for row in p.covers]

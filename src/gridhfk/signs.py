@@ -9,44 +9,194 @@ rectangle out of every generator) so that
   +1, and of a width-1 vertical annulus -1.
 
 Such an assignment exists for every grid and is unique up to flipping all
-signs at a set of generators, so the solver fixes a spanning tree of the
-move graph to +1 and determines the rest.  Signs are encoded as F2
-exponents: one unknown per move, numbered by the move's position in the
-table's rows, and one linear constraint per composite group.  Unit
-propagation from the pinned tree determines every unknown, then every
-constraint is re-checked.  The solution stays in that form, one byte per
-move, and is read one generator at a time.
+signs at a set of generators (Manolescu, Ozsvath, Szabo and Thurston), so
+any one of them gives the same homology.  ``move_sign`` is one in closed
+form, after Gallais's construction from the spin extension of S_n: each
+generator lifts canonically to the Clifford algebra, a move from x
+multiplies x's lift by the lift of the transposition of its two rows, and
+the sign compares that product with the lift of the target, corrected by
+the diagonal cells the rectangle covers.  It reads nothing but x and the
+two rows, so every complex asks for the signs of its own moves, one
+generator at a time, and no path reads the table of every rectangle.
+
+The axioms themselves are F2 equations over that table: one unknown per
+move, numbered by the move's position in the table's rows, and one
+linear constraint per composite group (``sign_constraints``).
+``solve_signs`` solves them by unit propagation from a pinned spanning
+tree; it backs ``check signs``, which also requires the closed form to
+meet every constraint, and the tests use it as the oracle.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 from .complexes import DEFAULT_MAX_GRID, Generator, MoveTable, move_table
 from .errors import UnsatisfiableSigns
 from .grid import Grid
 
-__all__ = ["SignAssignment", "solve_signs"]
+__all__ = [
+    "SignAssignment",
+    "SignConstraints",
+    "move_sign",
+    "move_signs",
+    "sign_constraints",
+    "solve_signs",
+]
+
+
+@lru_cache(maxsize=1)
+def _inversions(x: Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-generator tables of ``move_sign``, kept for the next move out of x.
+
+    ``inv[v]`` is the bitmask of the values that form an inversion with
+    ``v`` in ``x``, and ``above[m]`` the parity of the inversions whose
+    two values both exceed ``m``.
+    """
+    n = len(x)
+    inv = [0] * n
+    for i, u in enumerate(x):
+        for v in x[i + 1:]:
+            if u > v:
+                inv[u] |= 1 << v
+                inv[v] |= 1 << u
+    above = [0] * n
+    acc = 0
+    for m in range(n - 1, -1, -1):
+        above[m] = acc
+        acc ^= (inv[m] >> (m + 1)).bit_count() & 1
+    return tuple(inv), tuple(above)
+
+
+def move_sign(x: Generator, b: int, t: int) -> int:
+    """Sign of the move out of ``x`` that swaps rows ``b`` and ``t``.
+
+    ``b`` is the row of the rectangle's lower-left corner and ``t`` that
+    of its upper-right one: the rectangle spans the rows b..b+h-1 (mod n)
+    with h = (t - b) mod n, and the columns from a = x[b] to x[t].  With
+    lo, hi = min(b, t), max(b, t) the sign is (-1)^e, with e the sum mod 2
+    of
+
+    * ``[t < b]``, for a rectangle that wraps through the top row;
+    * the diagonal cells (r, r) the rectangle covers;
+    * delta(s, k) over the adjacent swaps k = lo, lo+1, ..., hi-1, hi-2,
+      ..., lo applied in turn to s = list(x), where delta(s, k) counts
+      ``[s[k] > s[k+1]]`` and the inversions of s between two values
+      other than s[k] and s[k+1] that both exceed min(s[k], s[k+1]).
+
+    In the Clifford algebra Cl_n (e_i^2 = -1) the swaps multiply the
+    canonical lift of x by s_lo ... s_{hi-1} ... s_lo = (e_b - e_t)/sqrt(2),
+    and the delta sum compares the product with the lift of the target;
+    the diagonal count, additive on squares and odd on every thin
+    annulus, turns the annulus products into +1 (horizontal) and -1
+    (vertical).
+
+    The sum is taken in closed form from x's own inversions, which the
+    moves out of one generator share when asked in a row.  While
+    x[lo] rises to row hi, the values other than x[lo] and the one it
+    passes keep their order in x; while x[hi] sinks back to row lo, so do
+    those other than x[hi] and the one it passes, except that x[lo] now
+    sits above the rows between: each pair it forms with them flips.
+    """
+    n = len(x)
+    inv, above = _inversions(x)
+    lo, hi = (b, t) if b < t else (t, b)
+    low, high = x[lo], x[hi]
+    between = x[lo + 1:hi]
+    a = x[b]
+    width = (x[t] - a) % n
+    e = (t < b) + sum((b + k - a) % n < width for k in range((t - b) % n))
+    e += (low > high) + sum(c < low for c in between) \
+        + sum(c > high for c in between)
+    for c in between:
+        for u, v in ((low, c), (c, high)):
+            m, big = (u, v) if u < v else (v, u)
+            e += above[m] + (inv[big] >> (m + 1)).bit_count()
+        if low > c < high:
+            e += sum(d > c for d in between)
+        elif low > high < c:
+            e += sum(d > high for d in between) - 1
+    m, big = (low, high) if low < high else (high, low)
+    e += above[m] + (inv[big] >> (m + 1)).bit_count()
+    return -1 if e & 1 else 1
+
+
+def move_signs(table: MoveTable, x: Generator) -> dict[int, int]:
+    """Closed-form signs of the moves of ``table`` out of ``x``, by rectangle id."""
+    rects = table.rects
+    return {rid: move_sign(x, rects[rid].row, rects[rid].top)
+            for rid, _ in table.moves[table.gen_index[x]]}
+
+
+@dataclass(frozen=True)
+class SignConstraints:
+    """The sign axioms over the full move table, as F2 equations.
+
+    The unknown of the t-th move out of generator i is ``first[i] + t``,
+    the exponent of that move's sign.  Constraint c requires the unknowns
+    ``cons_vars[cons_off[c]:cons_off[c + 1]]`` to sum to ``parity[c]``.
+    """
+
+    table: MoveTable
+    first: list[int]
+    cons_vars: array
+    cons_off: array
+    parity: bytearray
+
+    def __len__(self) -> int:
+        return len(self.parity)
+
+    def violation(self, values) -> int | None:
+        """The first constraint the exponents ``values`` fail, or None."""
+        cons_vars, cons_off = self.cons_vars, self.cons_off
+        for c, total in enumerate(self.parity):
+            for t in range(cons_off[c], cons_off[c + 1]):
+                total ^= values[cons_vars[t]]
+            if total:
+                return c
+        return None
+
+    def certificate(self, c: int):
+        return ("constraint",
+                list(self.cons_vars[self.cons_off[c]:self.cons_off[c + 1]]),
+                self.parity[c])
+
+    def closed_form(self) -> bytearray:
+        """``move_sign``'s exponents of every move, numbered as the unknowns."""
+        table = self.table
+        return bytearray(s < 0 for x in table.gens
+                         for s in move_signs(table, x).values())
 
 
 @dataclass(frozen=True)
 class SignAssignment:
-    """Solved +-1 labels on the moves of the full ``table``.
+    """Solved +-1 labels on the moves of the full table of ``constraints``.
 
     The t-th move out of generator i has the sign ``(-1)^values[first[i]
     + t]``: the solver's own unknowns, with no copy keyed by move.
     """
 
-    table: MoveTable
-    first: list[int]
+    constraints: SignConstraints
     values: bytearray
-    n_constraints: int
+
+    @property
+    def table(self) -> MoveTable:
+        return self.constraints.table
+
+    @property
+    def first(self) -> list[int]:
+        return self.constraints.first
 
     @property
     def n_variables(self) -> int:
         return len(self.values)
+
+    @property
+    def n_constraints(self) -> int:
+        return len(self.constraints)
 
     def row(self, x: Generator) -> dict[int, int]:
         """Signs of the moves out of generator ``x``, keyed by rectangle id."""
@@ -135,15 +285,15 @@ def _propagate(nvars: int, cons_vars: array, cons_off: array,
     return values
 
 
-def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
-    """Solve the square and annulus axioms over the move table of ``g``."""
+def sign_constraints(g: Grid,
+                     max_grid: int = DEFAULT_MAX_GRID) -> SignConstraints:
+    """The square and annulus axioms over the move table of ``g``."""
     table = move_table(g, max_grid)
     n = g.n
     moves = table.moves
 
     # The unknown of the t-th move out of generator i is first[i] + t.
     first = list(accumulate(map(len, moves), initial=0))
-    nvars = first[-1]
 
     rect_masks = []
     for rect in table.rects:
@@ -193,6 +343,14 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
                     raise UnsatisfiableSigns(
                         "closed composite that is not a thin annulus",
                         certificate=("annulus", entries))
+    return SignConstraints(table, first, cons_vars, cons_off, parity)
+
+
+def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
+    """Solve the square and annulus axioms over the move table of ``g``."""
+    cons = sign_constraints(g, max_grid)
+    table, first = cons.table, cons.first
+    moves = table.moves
 
     # Gauge: breadth-first spanning tree over the move graph, one move per
     # newly reached generator pinned to +1.
@@ -214,17 +372,10 @@ def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
             "move graph failed to reach every generator",
             certificate=("unreached", seen.index(0)))
 
-    values = _propagate(nvars, cons_vars, cons_off, parity, seeds)
-
-    for c in range(len(parity)):
-        total = parity[c]
-        for t in range(cons_off[c], cons_off[c + 1]):
-            total ^= values[cons_vars[t]]
-        if total:
-            raise UnsatisfiableSigns(
-                "solved assignment fails a constraint",
-                certificate=("constraint",
-                             list(cons_vars[cons_off[c]:cons_off[c + 1]]),
-                             parity[c]))
-
-    return SignAssignment(table, first, values, len(parity))
+    values = _propagate(first[-1], cons.cons_vars, cons.cons_off, cons.parity,
+                        seeds)
+    c = cons.violation(values)
+    if c is not None:
+        raise UnsatisfiableSigns("solved assignment fails a constraint",
+                                 certificate=cons.certificate(c))
+    return SignAssignment(cons, values)

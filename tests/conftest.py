@@ -7,7 +7,10 @@ tuples as ground truth; the script re-derives them from scratch.
 
 from __future__ import annotations
 
-from gridhfk.grid import Grid
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from gridhfk.grid import Grid, link_components
 
 # The 2x2 unknot.  Hat homology: one generator at (M, A) = (0, 0).
 UNKNOT2 = Grid(2, (0, 1), (1, 0))
@@ -31,7 +34,8 @@ FIG8 = Grid(6, (0, 1, 3, 2, 5, 4), (2, 5, 0, 4, 3, 1))
 TWIST52 = Grid(7, (0, 1, 2, 3, 4, 6, 5), (2, 4, 6, 5, 0, 3, 1))
 
 # Granny knot (trefoil # trefoil) built by splicing two trefoil grids.
-# Delta = t^2 - 2t + 3 - 2/t + 1/t^2, genus 2, not fibered.
+# Delta = t^2 - 2t + 3 - 2/t + 1/t^2, genus 2, fibered (a connected sum
+# of fibered knots; its top hat group is one Z).
 GRANNY9 = Grid(9, (3, 4, 0, 1, 2, 5, 6, 7, 8), (0, 1, 2, 3, 6, 7, 8, 4, 5))
 
 # Unknot # trefoil: same knot as the trefoil, different grid.  Its hat
@@ -41,3 +45,15 @@ COMPOSITE6 = Grid(6, (1, 0, 2, 3, 4, 5), (0, 3, 4, 5, 1, 2))
 # Seeded random knot at grid size 8 (40320 generators).  Hat homology
 # over F2: one group at (M, A) = (0, 0).
 KNOT8 = Grid(8, (6, 4, 3, 1, 5, 0, 7, 2), (0, 1, 7, 6, 2, 3, 5, 4))
+
+
+@st.composite
+def knot_grids(draw, max_n=6):
+    """Random knot grids (one component) of size 2..``max_n``."""
+    n = draw(st.integers(2, max_n))
+    x_cols = tuple(draw(st.permutations(range(n))))
+    o_cols = tuple(draw(st.permutations(range(n))))
+    assume(all(a != b for a, b in zip(x_cols, o_cols)))
+    g = Grid(n, x_cols, o_cols)
+    assume(link_components(g) == 1)
+    return g

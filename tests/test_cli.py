@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from conftest import GRANNY9
+from conftest import KNOT8 as KNOT8_GRID
 from gridhfk import Grid, ResourceLimit, parse_grid, serialize_grid, stabilize
+from gridhfk import complexes
 from gridhfk.cli import main
 from gridhfk.complexes import MoveTable
 
@@ -22,6 +24,8 @@ TREFOIL = str(FIX / "trefoil5.grid")
 UNKNOT = str(FIX / "unknot2.grid")
 TORUS34 = str(FIX / "torus34.grid")
 GRANNY = str(FIX / "granny.grid")
+KNOT8 = (f"8;X={','.join(map(str, KNOT8_GRID.x_cols))}"
+         f";O={','.join(map(str, KNOT8_GRID.o_cols))}")
 
 
 def run(capsys, argv):
@@ -188,6 +192,17 @@ def test_check_signs_json(capsys):
     assert data["variables"] > 0 and data["constraints"] > 0
 
 
+def test_check_signs_fails_a_closed_form_that_breaks_an_axiom(
+        capsys, monkeypatch):
+    """All +1 signs give every vertical annulus the product +1."""
+    monkeypatch.setattr("gridhfk.signs.move_sign", lambda x, b, t: 1)
+    rc, out, err = run(capsys, ["check", "signs", TREFOIL])
+    assert rc == 2
+    assert out.startswith("FAIL: sign assignment on the 5x5 grid")
+    assert "d^2 = 0 over Z; the closed form fails constraint" in out
+    assert err.startswith("gridhfk: validation error: FAIL")
+
+
 def test_poset_stats_text(capsys):
     rc, out, _ = run(capsys, ["poset", "stats", TREFOIL])
     assert rc == 0
@@ -269,11 +284,12 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_truncate_checked_before_any_work(capsys, monkeypatch):
-    """A bad --truncate is refused before the sign solve starts."""
+    """A bad --truncate is refused before any sign is computed."""
     def refuse(*args):
-        raise AssertionError("solve_signs ran before --truncate was checked")
+        raise AssertionError("move_sign ran before --truncate was checked")
 
-    monkeypatch.setattr("gridhfk.cli.solve_signs", refuse)
+    monkeypatch.setattr("gridhfk.signs.move_sign", refuse)
+    monkeypatch.setattr("gridhfk.poset.move_sign", refuse)
     for argv in (["homology", TORUS34, "--version", "minus"],
                  ["homology", TORUS34],
                  ["poset", "stats", TREFOIL, "--version", "minus"],
@@ -393,10 +409,74 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == "t - 1 + t^-1\n"
 
 
+def test_z_paths_neither_solve_signs_nor_build_the_full_table(
+        capsys, monkeypatch):
+    """Only ``check signs`` runs the solver over the table of all moves."""
+    builds = []
+
+    class Counting(MoveTable):
+        def __init__(self, g, cls="", gens=None):
+            builds.append(cls)
+            super().__init__(g, cls, gens)
+
+    def refuse(*args):
+        raise AssertionError("solve_signs ran on a production path")
+
+    monkeypatch.setattr(complexes, "MoveTable", Counting)
+    for name in ("gridhfk.signs.solve_signs", "gridhfk.cli.solve_signs"):
+        monkeypatch.setattr(name, refuse)
+    z = ["--coefficients", "z"]
+    for argv in (["homology", TREFOIL, *z],
+                 ["homology", TREFOIL, *z, "--version", "tilde"],
+                 ["homology", TREFOIL, *z, "--version", "minus"],
+                 ["genus", TREFOIL],
+                 ["fibered", TREFOIL],
+                 ["check", "invariance", TREFOIL, *z, "--moves", "2"],
+                 ["poset", "stats", TREFOIL, *z],
+                 ["poset", "stats", TREFOIL, *z, "--version", "minus"]):
+        complexes._cached_table.cache_clear()
+        builds.clear()
+        rc, _, err = run(capsys, argv)
+        assert rc == 0, (argv, err)
+        assert builds and "" not in builds, argv
+    complexes._cached_table.cache_clear()
+    with pytest.raises(AssertionError, match="solve_signs ran"):
+        main(["check", "signs", TREFOIL])
+
+
+def test_z_invariance_along_stabilizations_to_n8(capsys):
+    """Seed 7 stabilizes trefoil5 to n = 6, 7 and 8; the hat stays put."""
+    rc, out, _ = run(capsys, ["check", "invariance", TREFOIL,
+                              "--coefficients", "z", "--moves", "3",
+                              "--seed", "7"])
+    assert rc == 0
+    assert out == "PASS: 4/4 HFK-hat tables identical\n"
+
+
+def test_knot8_z_hat(capsys):
+    rc, out, _ = run(capsys, ["homology", KNOT8, "--coefficients", "z"])
+    assert rc == 0
+    assert out == ("hat homology over Z of the 8x8 grid\n"
+                   "   M    A  group\n"
+                   "   0    0  Z\n"
+                   "total rank 1\n")
+
+
+def test_fibered_granny_under_a_memory_ceiling():
+    """The Z hat reads no table of all 9! generators, so 300 MB is plenty."""
+    env = dict(os.environ, GRIDHFK_MAX_MEMORY_MB="300")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridhfk.cli", "fibered", GRANNY],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
+
+
 def test_memory_ceiling_subprocess_exit_3():
+    """``check signs`` still builds the table of all 9! generators."""
     env = dict(os.environ, GRIDHFK_MAX_MEMORY_MB="200")
     proc = subprocess.run(
-        [sys.executable, "-m", "gridhfk.cli", "fibered", GRANNY, "--json"],
+        [sys.executable, "-m", "gridhfk.cli", "check", "signs", GRANNY,
+         "--json"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 3
     data = json.loads(proc.stderr)

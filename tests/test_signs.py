@@ -1,12 +1,24 @@
-"""Sign solver: annulus products, square rule via d^2, gauge moves."""
+"""Signs: the solver's annulus products, square rule via d^2 and gauge
+moves, and the closed form against the solver's constraints and tables."""
 
+import itertools
 import random
 import subprocess
 import sys
 from array import array
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from conftest import (
+    COMPOSITE6,
+    FIG8,
+    TORUS34,
+    TREFOIL5,
+    TWIST52,
+    UNKNOT2,
+    knot_grids,
+)
 from gridhfk.complexes import (
     build_minus_complex,
     build_tilde_complex,
@@ -14,10 +26,16 @@ from gridhfk.complexes import (
 )
 from gridhfk.errors import UnsatisfiableSigns
 from gridhfk.grid import Grid, random_knot_grid
-from gridhfk.homology import homology
-from gridhfk.signs import SignAssignment, _propagate, solve_signs
-
-UNKNOT2 = Grid(2, (0, 1), (1, 0))
+from gridhfk.homology import extract_hat, homology
+from gridhfk.invariants import hat_homology
+from gridhfk.poset import poset_stats
+from gridhfk.signs import (
+    SignAssignment,
+    _propagate,
+    move_sign,
+    sign_constraints,
+    solve_signs,
+)
 
 
 def _annulus_pair(sa, i, *, col=None, row=None):
@@ -84,7 +102,7 @@ def test_flip_at_one_generator_is_still_valid():
         for v, (_, j) in enumerate(row, first[i]):
             if (i == target) != (j == target):
                 flipped[v] ^= 1
-    sa2 = SignAssignment(table, first, flipped, sa.n_constraints)
+    sa2 = SignAssignment(sa.constraints, flipped)
     x = table.gens[target]
     assert sa2.row(x) == {rid: -s for rid, s in sa.row(x).items()}
     cx = build_tilde_complex(g, "Z", sa2)
@@ -168,3 +186,87 @@ def test_dropped_move_raises_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "composite"
+
+
+# ------------------------------------------------------- the closed form
+
+def literal_sign(x, b, t):
+    """``move_sign`` as its docstring states it: one adjacent swap at a time."""
+    n = len(x)
+    a, h, w = x[b], (t - b) % n, (x[t] - x[b]) % n
+    lo, hi = sorted((b, t))
+    e = (t < b) + sum(((b + k) % n - a) % n < w for k in range(h))
+    s = list(x)
+    for k in [*range(lo, hi), *range(hi - 2, lo - 1, -1)]:
+        p, q = s[k], s[k + 1]
+        rest = [v for v in s if v not in (p, q)]
+        e += (p > q) + sum(u > v > min(p, q)
+                           for i, u in enumerate(rest) for v in rest[i + 1:])
+        s[k], s[k + 1] = q, p
+    return -1 if e % 2 else 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_move_sign_is_the_literal_formula(n):
+    for x in itertools.permutations(range(n)):
+        for b, t in itertools.permutations(range(n), 2):
+            assert move_sign(x, b, t) == literal_sign(x, b, t), (x, b, t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_closed_form_meets_every_constraint(n):
+    """Exhaustive over every n x n grid: the full table and the annulus
+    masks read no marking, so one grid per size covers them all."""
+    g = Grid(n, tuple(range(n)), tuple((c + 1) % n for c in range(n)))
+    cons = sign_constraints(g)
+    values = cons.closed_form()
+    assert len(values) == cons.first[-1]
+    assert cons.violation(values) is None
+
+
+def test_violation_names_a_broken_constraint():
+    cons = sign_constraints(UNKNOT2)
+    values = cons.closed_form()
+    values[0] ^= 1
+    c = cons.violation(values)
+    assert c is not None and 0 in cons.certificate(c)[1]
+
+
+def both_routes(build, g, *args, sa=None, **kwargs):
+    """Homology of one complex with the closed-form and the solved signs."""
+    closed = homology(build(g, *args, "Z", **kwargs))
+    solved = homology(build(g, *args, "Z", sa or solve_signs(g), **kwargs))
+    return closed, solved
+
+
+Z_FIXTURES = [UNKNOT2, TREFOIL5, FIG8, TORUS34, TWIST52, COMPOSITE6]
+Z_IDS = ["unknot2", "trefoil5", "fig8", "torus34", "twist52", "composite6"]
+
+
+@pytest.mark.parametrize("g", Z_FIXTURES, ids=Z_IDS)
+def test_closed_form_and_solver_give_equal_z_tables(g):
+    sa = solve_signs(g)
+    closed, solved = both_routes(build_tilde_complex, g, sa=sa)
+    assert closed.blocks == solved.blocks
+    closed, solved = both_routes(build_tilde_complex, g, sa=sa, top_half=True)
+    assert closed.blocks == solved.blocks
+    assert hat_homology(g, "Z").blocks == \
+        extract_hat(solved, g.n, top_half=True).blocks
+
+
+def test_closed_form_and_solver_give_equal_z_minus():
+    closed, solved = both_routes(build_minus_complex, TREFOIL5, 2)
+    assert closed.blocks == solved.blocks
+
+
+def test_closed_form_and_solver_give_equal_z_poset_stats():
+    assert poset_stats(TREFOIL5, "minus", 2, "Z") == \
+        poset_stats(TREFOIL5, "minus", 2, "Z", solve_signs(TREFOIL5))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(knot_grids())
+def test_closed_form_and_solver_agree_on_random_knots(g):
+    closed, solved = both_routes(build_tilde_complex, g)
+    assert closed.blocks == solved.blocks

@@ -11,8 +11,7 @@ import collections
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from conftest import (
     COMPOSITE6,
@@ -23,6 +22,7 @@ from conftest import (
     TREFOIL5,
     TWIST52,
     UNKNOT2,
+    knot_grids,
 )
 from gridhfk import complexes
 from gridhfk.complexes import (
@@ -45,7 +45,7 @@ from gridhfk.gradings import (
     maslov,
     top_generators,
 )
-from gridhfk.grid import Grid, link_components, random_knot_grid, stabilize
+from gridhfk.grid import Grid, random_knot_grid, stabilize
 from gridhfk.homology import BigradedRanks, extract_hat, homology
 from gridhfk.invariants import (
     alexander_polynomial,
@@ -240,11 +240,11 @@ def test_hat_path_builds_only_the_top_half_table(builds):
     assert builds == [("XO", 4676)]
 
 
-def test_z_hat_path_builds_the_sign_table_and_the_top_half_table(builds):
-    """The signs are read by generator, so no table maps the ids."""
+def test_z_hat_path_builds_only_the_top_half_table(builds):
+    """The signs come from the closed form, move by move: no full table."""
     assert hat_homology(FIG8, "Z").total_rank == 5
     top = len(top_generators(FIG8, TOP_HALF_FLOOR))
-    assert builds == [("", 720), ("XO", top)]
+    assert builds == [("XO", top)]
 
 
 # ------------------------------------------------------------ the oracle
@@ -287,17 +287,6 @@ STABILIZED8 = [stabilize(TORUS34, 2, "a"), stabilize(TWIST52, 4, "c"),
 def test_top_half_hat_matches_the_full_path_on_stabilized_grids(g):
     assert g.n == 8
     assert hat_homology(g, "F2").blocks == full_hat(g).blocks
-
-
-@st.composite
-def knot_grids(draw, max_n=6):
-    n = draw(st.integers(2, max_n))
-    x_cols = tuple(draw(st.permutations(range(n))))
-    o_cols = tuple(draw(st.permutations(range(n))))
-    assume(all(a != b for a, b in zip(x_cols, o_cols)))
-    g = Grid(n, x_cols, o_cols)
-    assume(link_components(g) == 1)
-    return g
 
 
 @settings(max_examples=40, deadline=None,
