@@ -6,10 +6,20 @@ row dictionaries; elimination peels off unit pivots first (the boundary
 matrices built elsewhere in this package start with entries in {-1, 0, 1},
 so this stage almost always consumes everything) and hands any leftover
 core to a dense Smith normal form with exact big-integer arithmetic.
+
+The unit pivots come from a lazy min-heap keyed by Markowitz cost, one
+entry per row for its cheapest +-1 entry.  Each pivot pushes the rows it
+rewrote again; entries that went stale (row eliminated, no +-1 entry
+left) are dropped when popped, and entries whose cost rose are pushed
+back at the new cost.  A pivot thus costs the rows it touches plus a few
+heap operations, not a scan of the matrix.  Row operations with unit
+pivots are unimodular, so the pivot order cannot change the invariant
+factors.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 
@@ -31,36 +41,55 @@ def f2_rank(rows: Iterable[int]) -> int:
 def _strip_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
     """Eliminate with +-1 pivots in place; returns the number eliminated.
 
-    Pivots are chosen to minimize fill (Markowitz count), which keeps the
-    intermediate entries small on the nearly-unimodular matrices homology
-    blocks produce.
+    Pivots are chosen to minimize fill (Markowitz count, (row length - 1)
+    * (column length - 1)), which keeps the intermediate entries small on
+    the nearly-unimodular matrices homology blocks produce.  Candidates
+    wait in a min-heap of (cost, row, column) entries: every row pushes
+    its cheapest +-1 entry at the start, and every row a pivot rewrites
+    pushes it again.  The heap is lazy.  A popped entry is stale if its
+    row is gone; otherwise the row's cheapest +-1 entry is taken afresh.
+    A row with none left is dropped, one whose cost has risen since the
+    push goes back in at the new cost, and the rest pivot.  A cost that
+    fell is not refreshed until its row is pushed again, so the order is
+    Markowitz up to that lag; in exchange a pivot costs the rows it
+    rewrites and a few heap operations, not a scan of the whole matrix.
     """
     cols: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    eliminated = 0
-    while True:
+
+    def cheapest(r: int) -> tuple[int, int, int] | None:
+        row = rows[r]
         best = None
-        best_cost = None
-        for r, row in rows.items():
-            for c, val in row.items():
-                if val in (1, -1):
-                    cost = (len(row) - 1) * (len(cols[c]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (r, c), cost
-                        if cost == 0:
-                            break
-            if best_cost == 0:
-                break
+        for c, val in row.items():
+            if val in (1, -1) and (best is None
+                                   or len(cols[c]) < len(cols[best])):
+                best = c
         if best is None:
-            return eliminated
-        r0, c0 = best
+            return None
+        return (len(row) - 1) * (len(cols[best]) - 1), r, best
+
+    heap = [entry for entry in map(cheapest, rows) if entry]
+    heapify(heap)
+    eliminated = 0
+    while heap:
+        cost, r0, _ = heappop(heap)
+        if r0 not in rows:
+            continue
+        entry = cheapest(r0)
+        if entry is None:
+            continue
+        if entry[0] > cost:
+            heappush(heap, entry)
+            continue
+        c0 = entry[2]
         pivot_row = rows.pop(r0)
         sign = pivot_row[c0]
         for c in pivot_row:
             cols[c].discard(r0)
-        for r in list(cols[c0]):
+        touched = list(cols[c0])
+        for r in touched:
             row = rows[r]
             factor = row[c0] * sign
             for c, val in pivot_row.items():
@@ -75,7 +104,13 @@ def _strip_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
             if not row:
                 del rows[r]
         del cols[c0]
+        for r in touched:
+            if r in rows:
+                entry = cheapest(r)
+                if entry:
+                    heappush(heap, entry)
         eliminated += 1
+    return eliminated
 
 
 def _identity(n: int) -> list[list[int]]:

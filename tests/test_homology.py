@@ -5,8 +5,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridhfk.complexes import ChainComplex, build_tilde_complex
+from conftest import TREFOIL5
+from gridhfk.complexes import (
+    ChainComplex,
+    build_minus_complex,
+    build_tilde_complex,
+)
 from gridhfk.errors import InexactDivision, InvalidDifferential
 from gridhfk.grid import Grid, random_knot_grid
 from gridhfk.homology import (
@@ -33,6 +40,64 @@ def test_invariant_factors_diagonal():
     assert invariant_factors([{0: 1}, {1: 1}]) == [1, 1]
     assert invariant_factors([{0: 2}, {0: 2}]) == [2]
     assert invariant_factors([]) == []
+    # No unit entry: the whole matrix is the dense core.
+    assert invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 8}]) == [2, 4]
+    # One unit pivot, then a 1x1 core [-2].
+    assert invariant_factors([{0: 1, 1: 2}, {0: 2, 1: 2}]) == [1, 2]
+
+
+def _snf_factors(rows, n_cols):
+    """Nonzero diagonal of the dense Smith form: the oracle."""
+    dense = [[row.get(c, 0) for c in range(n_cols)] for row in rows]
+    d, _, _ = smith_normal_form(dense)
+    return [d[i][i] for i in range(min(len(d), n_cols)) if d[i][i]]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse integer matrices up to 8x8 with entries in -3..3.
+
+    About half of them have no +-1 entry at all, so the unit-pivot stage
+    strips nothing and the dense core is the whole matrix.
+    """
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    units = draw(st.booleans())
+    values = st.sampled_from((-3, -2, -1, 1, 2, 3) if units else (-3, -2, 2, 3))
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), values, max_size=n))
+            for _ in range(m)]
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_invariant_factors_match_dense_smith_form(matrix):
+    rows, n = matrix
+    assert sorted(invariant_factors(rows)) == _snf_factors(rows, n)
+
+
+def _z_blocks(cx):
+    """The boundary blocks (m, a) -> (m - 1, a) of a complex, as sparse rows."""
+    by_ma: dict[tuple[int, int], list[int]] = {}
+    for i, ma in enumerate(cx.gradings):
+        by_ma.setdefault(ma, []).append(i)
+    pos = {i: k for indices in by_ma.values() for k, i in enumerate(indices)}
+    for (m, a), sources in sorted(by_ma.items()):
+        targets = by_ma.get((m - 1, a))
+        if targets:
+            rows = [{pos[j]: c for j, c in cx.diff[i]} for i in sources]
+            yield rows, len(targets)
+
+
+def test_invariant_factors_match_dense_smith_form_on_real_blocks():
+    cx = build_minus_complex(TREFOIL5, 2, "Z")
+    small = [(rows, n) for rows, n in _z_blocks(cx) if len(rows) * n <= 2500]
+    assert len(small) >= 15
+    for rows, n in small:
+        assert invariant_factors(rows) == _snf_factors(rows, n)
+        # Doubling one row leaves a unit-free row for the dense core.
+        doubled = [{c: 2 * v for c, v in rows[0].items()}] + rows[1:]
+        assert sorted(invariant_factors(doubled)) == _snf_factors(doubled, n)
 
 
 def _det(mat):
@@ -88,6 +153,15 @@ def test_unknot_tilde_homology():
     assert ranks.blocks == {(0, 0): (1, ()), (-1, -1): (1, ())}
     assert ranks.total_rank == 2
     assert not ranks.has_torsion
+
+
+def test_trefoil_minus_d3_over_z_is_torsion_free_and_matches_f2():
+    z_ranks = homology(build_minus_complex(TREFOIL5, 3, "Z"))
+    assert len(z_ranks.blocks) == 21
+    assert z_ranks.total_rank == 80
+    assert not z_ranks.has_torsion
+    f2_ranks = homology(build_minus_complex(TREFOIL5, 3, "F2"))
+    assert z_ranks.blocks == f2_ranks.blocks
 
 
 def test_zero_differential_two_generators():
