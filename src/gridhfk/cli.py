@@ -35,17 +35,9 @@ from .complexes import (
 from .errors import GridFormatError, ResourceLimit, UnsatisfiableSigns
 from .grid import Grid, grid_from_json, parse_grid, serialize_grid
 from .homology import BigradedRanks, extract_hat, homology
-from .invariants import (
-    apply_move,
-    certify_hat,
-    check_invariance,
-    fibered,
-    genus,
-    grid_alexander_polynomial,
-    hat_homology,
-)
-from .poset import poset_stats
-from .signs import solve_signs
+
+# The invariants, the poset lab and the sign solver are imported by the
+# commands that run them, so a process loads only its command's modules.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,6 +70,20 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID):
+    """``signs.solve_signs``, imported on first use."""
+    from .signs import solve_signs
+
+    return solve_signs(g, max_grid)
+
+
+def poset_stats(*args, **kwargs) -> dict:
+    """``poset.poset_stats``, imported on first use."""
+    from .poset import poset_stats
+
+    return poset_stats(*args, **kwargs)
 
 
 def load_grid(source: str) -> Grid:
@@ -202,6 +208,8 @@ def _cmd_homology(args) -> int:
                                  top_half=hat)
         ranks = homology(cx)
         if hat:
+            from .invariants import certify_hat
+
             ranks = extract_hat(ranks, g.n, top_half=True)
             certify_hat(g, ranks)
 
@@ -225,12 +233,16 @@ def _cmd_homology(args) -> int:
 
 
 def _hat_for(args) -> tuple[Grid, BigradedRanks]:
+    from .invariants import hat_homology
+
     g = load_grid(args.grid)
     coeff = _coefficients(args)
     return g, hat_homology(g, coeff, args.max_grid)
 
 
 def _cmd_alexander(args) -> int:
+    from .invariants import grid_alexander_polynomial
+
     g = load_grid(args.grid)
     poly = grid_alexander_polynomial(g, _coefficients(args), args.max_grid)
     text = str(poly) + ("  (coefficients mod 2)" if poly.mod2 else "")
@@ -246,6 +258,8 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_genus(args) -> int:
+    from .invariants import genus
+
     g, hat = _hat_for(args)
     value = genus(hat)
     _print(args, [str(value)], {
@@ -255,6 +269,8 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_fibered(args) -> int:
+    from .invariants import fibered
+
     g, hat = _hat_for(args)
     value = fibered(hat)
     _print(args, ["true" if value else "false"], {
@@ -309,6 +325,8 @@ def _cmd_poset_stats(args) -> int:
 
 
 def _cmd_check_invariance(args) -> int:
+    from .invariants import check_invariance
+
     g = load_grid(args.grid)
     coeff = _coefficients(args)
     report = check_invariance(g, args.moves, seed=args.seed,
@@ -359,6 +377,8 @@ def _cmd_check_signs(args) -> int:
 
 
 def _cmd_moves(args) -> int:
+    from .invariants import apply_move
+
     g = load_grid(args.grid)
     if args.subcommand == "commute":
         move = ("commute", args.axis, args.index)

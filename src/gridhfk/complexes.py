@@ -36,14 +36,16 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimit
 from .gradings import alexander, maslov, maslov_index, top_generators
 from .grid import Grid
+
+if TYPE_CHECKING:  # exact rationals load with the oracles that use them
+    from fractions import Fraction
 
 __all__ = [
     "Generator",
@@ -78,21 +80,38 @@ def _check_grid_size(g: Grid, max_grid: int) -> None:
             f"({factorial(g.n)} generators); raise max_grid to proceed")
 
 
-@dataclass(frozen=True)
 class Rectangle:
     """Cells ``[col, col+width] x [row, row+height]`` on the n-torus.
 
     ``x_rows`` and ``o_rows`` list the rows of the markings the rectangle
     covers; for the minus differential the O rows are the U indices.
+    Equality and hash read the placement alone, not the marking rows.
     """
 
-    n: int
-    col: int
-    row: int
-    width: int
-    height: int
-    x_rows: tuple[int, ...] = field(compare=False)
-    o_rows: tuple[int, ...] = field(compare=False)
+    __slots__ = ("n", "col", "row", "width", "height", "x_rows", "o_rows")
+
+    def __init__(self, n: int, col: int, row: int, width: int, height: int,
+                 x_rows: tuple[int, ...], o_rows: tuple[int, ...]):
+        self.n = n
+        self.col = col
+        self.row = row
+        self.width = width
+        self.height = height
+        self.x_rows = x_rows
+        self.o_rows = o_rows
+
+    def __eq__(self, other):
+        if other.__class__ is not Rectangle:
+            return NotImplemented
+        return self.n == other.n and self.key == other.key
+
+    def __hash__(self):
+        return hash((self.n, self.col, self.row, self.width, self.height))
+
+    def __repr__(self):
+        return (f"Rectangle(n={self.n}, col={self.col}, row={self.row}, "
+                f"width={self.width}, height={self.height}, "
+                f"x_rows={self.x_rows}, o_rows={self.o_rows})")
 
     def cells(self):
         n = self.n
@@ -277,7 +296,6 @@ def _cached_table(g: Grid, cls: str, top_half: bool) -> MoveTable:
     return MoveTable(g, cls)
 
 
-@dataclass(frozen=True)
 class Domain:
     """2-chain of cells connecting two generators.
 
@@ -287,10 +305,14 @@ class Domain:
     equals (points of y there) - (points of x there).
     """
 
-    grid: Grid
-    x_from: Generator
-    y_to: Generator
-    coeffs: tuple[tuple[int, ...], ...]
+    __slots__ = ("grid", "x_from", "y_to", "coeffs")
+
+    def __init__(self, grid: Grid, x_from: Generator, y_to: Generator,
+                 coeffs: tuple[tuple[int, ...], ...]):
+        self.grid = grid
+        self.x_from = x_from
+        self.y_to = y_to
+        self.coeffs = coeffs
 
     def verify_boundary(self) -> bool:
         g, n = self.grid, self.grid.n
@@ -399,22 +421,30 @@ def connecting_domain(g: Grid, x: Generator, y: Generator, mode: str = "any",
     return Domain(g, x, y, coeffs)
 
 
-@dataclass
 class ChainComplex:
     """Bigraded complex with differential dropping M by 1, fixing A.
 
     ``labels[i]`` is a generator, or a ``(generator, exponents)`` pair for
     the truncated minus version.  ``diff[i]`` lists ``(j, coeff)`` with
-    coefficients in F2 (always 1) or Z.
+    coefficients in F2 (always 1) or Z.  A complex is a mutable record
+    with no hash.
     """
 
-    coefficients: str
-    version: str
-    grid: Grid
-    truncation: int | None
-    labels: list
-    gradings: list[tuple[int, int]]
-    diff: list[list[tuple[int, int]]]
+    __slots__ = ("coefficients", "version", "grid", "truncation", "labels",
+                 "gradings", "diff")
+    __hash__ = None
+
+    def __init__(self, coefficients: str, version: str, grid: Grid,
+                 truncation: int | None, labels: list,
+                 gradings: list[tuple[int, int]],
+                 diff: list[list[tuple[int, int]]]):
+        self.coefficients = coefficients
+        self.version = version
+        self.grid = grid
+        self.truncation = truncation
+        self.labels = labels
+        self.gradings = gradings
+        self.diff = diff
 
     def d_squared(self) -> dict[tuple[int, int], int]:
         """Nonzero entries of the squared differential (empty means d^2=0).

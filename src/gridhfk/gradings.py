@@ -42,12 +42,15 @@ divides by ``(1 - t^-1)^(n-1)`` to give the Alexander polynomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import getitem
+from typing import TYPE_CHECKING
 
 from .errors import InexactDivision, NonIntegralAlexander
 from .grid import Grid
+
+if TYPE_CHECKING:  # exact rationals load with the oracles that use them
+    from fractions import Fraction
 
 __all__ = [
     "j_pair",
@@ -62,11 +65,10 @@ __all__ = [
     "determinant_alexander",
 ]
 
-Point = tuple[Fraction, Fraction]
-
-
-def _as_formal_sum(value) -> list[tuple[Point, int]]:
+def _as_formal_sum(value) -> list[tuple[tuple[Fraction, Fraction], int]]:
     """Accept a bare point ``(x, y)`` or an iterable of ``(point, coeff)``."""
+    from fractions import Fraction
+
     seq = list(value)
     if len(seq) == 2 and not isinstance(seq[0], (tuple, list)):
         return [((Fraction(seq[0]), Fraction(seq[1])), 1)]
@@ -83,6 +85,8 @@ def j_pair(a, b) -> Fraction:
     Reference implementation on exact rationals; the grading functions
     below use per-grid tables and are checked against this.
     """
+    from fractions import Fraction
+
     total = Fraction(0)
     for (px, py), cp in _as_formal_sum(a):
         for (qx, qy), cq in _as_formal_sum(b):
@@ -150,6 +154,8 @@ def alexander(g: Grid, x: tuple[int, ...]) -> int:
     pair = _grid_pairings(g)
     quad = 2 * sum(map(getitem, pair.t_xo, x)) + pair.alexander_shift
     if quad % 4:
+        from fractions import Fraction
+
         raise NonIntegralAlexander(
             f"Alexander grading of {x} is {Fraction(quad, 4)}; "
             "the grid presents a multi-component link")
@@ -171,6 +177,8 @@ def bigrading_with_u(g: Grid, x: tuple[int, ...],
 
 def point_measure(coeffs, n: int, col: int, row: int) -> Fraction:
     """Average of the four cell coefficients around the lattice point."""
+    from fractions import Fraction
+
     return Fraction(
         coeffs[row - 1][col - 1] + coeffs[row - 1][col % n]
         + coeffs[row % n][col - 1] + coeffs[row % n][col % n], 4)
@@ -178,6 +186,8 @@ def point_measure(coeffs, n: int, col: int, row: int) -> Fraction:
 
 def maslov_index(coeffs, n: int, x: tuple[int, ...], y: tuple[int, ...]) -> Fraction:
     """Index of a 2-chain from x to y: total point measure at both point sets."""
+    from fractions import Fraction
+
     total = Fraction(0)
     for r in range(n):
         total += point_measure(coeffs, n, x[r], r)

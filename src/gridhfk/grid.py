@@ -26,8 +26,7 @@ first), line 3 the O columns.  The same data is accepted inline as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import GridFormatError, IllegalCommutation, NotDestabilizable
 
@@ -51,8 +50,7 @@ SYMMETRIES = ("R90", "R180", "R270", "Rh", "Rv")
 STABILIZATION_VARIANTS = ("a", "b", "c", "d")
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(NamedTuple):
     """One X or O marking; ``position`` is the half-integral cell centre."""
 
     kind: Literal["X", "O"]
@@ -64,25 +62,23 @@ class Marking:
         return (self.col + 0.5, self.row + 0.5)
 
 
-@dataclass(frozen=True)
 class Grid:
     """Immutable grid diagram.
 
     ``x_cols[r]`` and ``o_cols[r]`` are the columns of the X and O marking
     in row ``r``.  Both tuples are permutations of ``0..n-1`` and disagree
     in every position, which is exactly the one-per-row, one-per-column,
-    no-shared-cell condition.
+    no-shared-cell condition.  Equal grids hash equal: a grid keys the
+    per-grid caches.
     """
 
-    n: int
-    x_cols: tuple[int, ...]
-    o_cols: tuple[int, ...]
+    __slots__ = ("n", "x_cols", "o_cols", "_hash")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, x_cols: tuple[int, ...],
+                 o_cols: tuple[int, ...]):
         if n < 2:
             raise GridFormatError(f"grid size must be at least 2, got {n}")
-        for name, cols in (("X", self.x_cols), ("O", self.o_cols)):
+        for name, cols in (("X", x_cols), ("O", o_cols)):
             if len(cols) != n:
                 raise GridFormatError(
                     f"{name} row count {len(cols)} does not match size {n}")
@@ -90,9 +86,33 @@ class Grid:
                 raise GridFormatError(
                     f"{name} columns {list(cols)} are not a permutation of 0..{n - 1}")
         for r in range(n):
-            if self.x_cols[r] == self.o_cols[r]:
+            if x_cols[r] == o_cols[r]:
                 raise GridFormatError(
-                    f"row {r}: X and O share the cell in column {self.x_cols[r]}")
+                    f"row {r}: X and O share the cell in column {x_cols[r]}")
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "x_cols", x_cols)
+        init(self, "o_cols", o_cols)
+        init(self, "_hash", hash((n, x_cols, o_cols)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Grid")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Grid")
+
+    def __eq__(self, other):
+        if other.__class__ is not Grid:
+            return NotImplemented
+        return (self.n == other.n and self.x_cols == other.x_cols
+                and self.o_cols == other.o_cols)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"Grid(n={self.n!r}, x_cols={self.x_cols!r}, "
+                f"o_cols={self.o_cols!r})")
 
     @property
     def x_rows(self) -> tuple[int, ...]:

@@ -9,8 +9,6 @@ immutable table of ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import TOP_HALF_FLOOR, ChainComplex
 from .errors import (
     AsymmetryDetected,
@@ -29,17 +27,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BigradedRanks:
     """Homology ranks per (maslov, alexander) pair.
 
     ``blocks[(m, a)]`` is ``(free_rank, torsion)`` where ``torsion`` is a
     sorted tuple of invariant factors greater than 1.  Zero blocks are
-    omitted.
+    omitted.  Two tables are equal when their ring and blocks are; the
+    blocks are a dict, so a table has no hash.
     """
 
-    coefficients: str
-    blocks: dict[tuple[int, int], tuple[int, tuple[int, ...]]]
+    __slots__ = ("coefficients", "blocks")
+    __hash__ = None
+
+    def __init__(self, coefficients: str,
+                 blocks: dict[tuple[int, int], tuple[int, tuple[int, ...]]]):
+        self.coefficients = coefficients
+        self.blocks = blocks
+
+    def __eq__(self, other):
+        if other.__class__ is not BigradedRanks:
+            return NotImplemented
+        return (self.coefficients == other.coefficients
+                and self.blocks == other.blocks)
+
+    def __repr__(self):
+        return (f"BigradedRanks(coefficients={self.coefficients!r}, "
+                f"blocks={self.blocks!r})")
 
     def free(self, m: int, a: int) -> int:
         return self.blocks.get((m, a), (0, ()))[0]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import collections
 import random
-from dataclasses import dataclass
 
 from .complexes import DEFAULT_MAX_GRID, _check_grid_size, build_tilde_complex
 from .errors import (
@@ -50,7 +49,6 @@ __all__ = [
 MoveDescriptor = tuple
 
 
-@dataclass(frozen=True)
 class AlexanderPolynomial:
     """Symmetric Laurent polynomial in t, exponents descending.
 
@@ -58,8 +56,24 @@ class AlexanderPolynomial:
     pipeline can certify); such polynomials carry no overall sign.
     """
 
-    coeffs: tuple[tuple[int, int], ...]
-    mod2: bool = False
+    __slots__ = ("coeffs", "mod2")
+
+    def __init__(self, coeffs: tuple[tuple[int, int], ...],
+                 mod2: bool = False):
+        self.coeffs = coeffs
+        self.mod2 = mod2
+
+    def __eq__(self, other):
+        if other.__class__ is not AlexanderPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.mod2 == other.mod2
+
+    def __hash__(self):
+        return hash((self.coeffs, self.mod2))
+
+    def __repr__(self):
+        return (f"AlexanderPolynomial(coeffs={self.coeffs!r}, "
+                f"mod2={self.mod2!r})")
 
     def coefficient(self, exponent: int) -> int:
         for a, c in self.coeffs:
@@ -261,15 +275,19 @@ def hat_homology(g: Grid, coefficients: str = "F2",
     return hat
 
 
-@dataclass(frozen=True)
 class InvarianceReport:
     """Hat tables along a move sequence, compared against the start."""
 
-    start: Grid
-    moves: tuple[MoveDescriptor, ...]
-    grids: tuple[Grid, ...]
-    tables: tuple[BigradedRanks, ...]
-    divergence: int | None
+    __slots__ = ("start", "moves", "grids", "tables", "divergence")
+
+    def __init__(self, start: Grid, moves: tuple[MoveDescriptor, ...],
+                 grids: tuple[Grid, ...], tables: tuple[BigradedRanks, ...],
+                 divergence: int | None):
+        self.start = start
+        self.moves = moves
+        self.grids = grids
+        self.tables = tables
+        self.divergence = divergence
 
     @property
     def ok(self) -> bool:

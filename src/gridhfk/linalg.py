@@ -117,6 +117,20 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _bezout(p: int, b: int) -> tuple[int, int, int]:
+    """(g, s, x) with s*p + x*b = g = gcd(p, b), for p > 0; (p, 1, 0) when
+    p divides b."""
+    if b % p == 0:
+        return p, 1, 0
+    r0, r1, s0, s1, x0, x1 = p, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        x0, x1 = x1, x0 - q * x1
+    return (r0, s0, x0) if r0 > 0 else (-r0, -s0, -x0)
+
+
 def smith_normal_form(mat: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix: returns (d, u, v) with d = u*mat*v.
 
@@ -124,6 +138,12 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     non-negative; ``u`` and ``v`` are square with determinant +-1.  Dense
     big-integer arithmetic throughout; meant for small cores and oracle
     checks, not bulk elimination.
+
+    Each entry in the pivot's column (row) is cleared by one unimodular
+    combination of the two rows (columns) from the extended gcd, which
+    leaves the gcd as the pivot.  Clearing by repeated division with
+    swaps lets the entries grow without bound: past 800,000 bits on some
+    7 x 8 matrices with entries in -3..3.
     """
     a = [list(row) for row in mat]
     m = len(a)
@@ -131,19 +151,25 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     u = _identity(m)
     v = _identity(n)
 
-    def row_sub(i: int, j: int, q: int) -> None:
-        ai, aj = a[i], a[j]
-        for k in range(n):
-            ai[k] -= q * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            ui[k] -= q * uj[k]
+    def row_mix(t: int, i: int, b: int) -> None:
+        """Rows t, i become (s, x; -b/g, p/g) times themselves: a[i][t] = 0."""
+        p = a[t][t]
+        g, s, x = _bezout(p, b)
+        y, z = -b // g, p // g
+        for mat_ in (a, u):
+            rt, ri = mat_[t], mat_[i]
+            mat_[t] = [s * e + x * f for e, f in zip(rt, ri)]
+            mat_[i] = [y * e + z * f for e, f in zip(rt, ri)]
 
-    def col_sub(i: int, j: int, q: int) -> None:
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+    def col_mix(t: int, j: int, b: int) -> None:
+        """Columns t, j, likewise: a[t][j] = 0."""
+        p = a[t][t]
+        g, s, x = _bezout(p, b)
+        y, z = -b // g, p // g
+        for mat_ in (a, v):
+            for row in mat_:
+                e, f = row[t], row[j]
+                row[t], row[j] = s * e + x * f, y * e + z * f
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -167,41 +193,27 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
             break
         row_swap(t, pivot[0])
         col_swap(t, pivot[1])
+        if a[t][t] < 0:
+            a[t] = [-e for e in a[t]]
+            u[t] = [-e for e in u[t]]
         while True:
-            dirty = False
             for i in range(t + 1, m):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_sub(i, t, q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        dirty = True
+                    row_mix(t, i, a[i][t])
             for j in range(t + 1, n):
                 if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_sub(j, t, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
+                    col_mix(t, j, a[t][j])
+            # A column step whose pivot did not divide its entry lowered
+            # the pivot and refilled the column: clear it again.
+            if any(a[i][t] for i in range(t + 1, m)):
                 continue
             p = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, m)
+                             if any(e % p for e in a[i][t + 1:])), None)
             if offender is None:
                 break
-            row_sub(t, offender, -1)
-        if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
+            a[t] = [e + f for e, f in zip(a[t], a[offender])]
+            u[t] = [e + f for e, f in zip(u[t], u[offender])]
         t += 1
     return a, u, v
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import collections
 import random
-from dataclasses import dataclass, field
 from operator import sub
+from typing import NamedTuple
 
 from .complexes import (
     DEFAULT_MAX_ELEMENTS,
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class ELLabel:
+class ELLabel(NamedTuple):
     """Edge label (s, i, t), compared lexicographically.
 
     s is 0 when the rectangle crosses the reference circle, i the number
@@ -71,7 +70,6 @@ class ELLabel:
     t: int
 
 
-@dataclass(frozen=True)
 class GridPoset:
     """Elements of one Alexander grading with their positive-domain order.
 
@@ -82,18 +80,26 @@ class GridPoset:
     positive domain with the required marking multiplicities connects x
     to y; those are exactly the chains of covers, so ``below[i]`` holds
     the closure: bit j is set when element j is at or below element i.
-    Build posets with ``_make_poset``.
+    ``index`` maps each element to its position.  Build posets with
+    ``_make_poset``.
     """
 
-    grid: Grid
-    mode: str
-    truncation: int | None
-    alexander: int
-    elements: tuple
-    maslov: tuple[int, ...]
-    covers: tuple[tuple[tuple[int, Rectangle], ...], ...]
-    below: tuple[int, ...] = field(compare=False, repr=False)
-    index: dict = field(compare=False, repr=False)
+    __slots__ = ("grid", "mode", "truncation", "alexander", "elements",
+                 "maslov", "covers", "below", "index")
+
+    def __init__(self, grid: Grid, mode: str, truncation: int | None,
+                 alexander: int, elements: tuple, maslov: tuple[int, ...],
+                 covers: tuple[tuple[tuple[int, Rectangle], ...], ...],
+                 below: tuple[int, ...], index: dict):
+        self.grid = grid
+        self.mode = mode
+        self.truncation = truncation
+        self.alexander = alexander
+        self.elements = elements
+        self.maslov = maslov
+        self.covers = covers
+        self.below = below
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.elements)

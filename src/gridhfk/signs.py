@@ -30,7 +30,6 @@ meet every constraint, and the tests use it as the oracle.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -131,7 +130,6 @@ def move_signs(table: MoveTable, x: Generator) -> dict[int, int]:
             for rid, _ in table.moves[table.gen_index[x]]}
 
 
-@dataclass(frozen=True)
 class SignConstraints:
     """The sign axioms over the full move table, as F2 equations.
 
@@ -140,11 +138,15 @@ class SignConstraints:
     ``cons_vars[cons_off[c]:cons_off[c + 1]]`` to sum to ``parity[c]``.
     """
 
-    table: MoveTable
-    first: list[int]
-    cons_vars: array
-    cons_off: array
-    parity: bytearray
+    __slots__ = ("table", "first", "cons_vars", "cons_off", "parity")
+
+    def __init__(self, table: MoveTable, first: list[int], cons_vars: array,
+                 cons_off: array, parity: bytearray):
+        self.table = table
+        self.first = first
+        self.cons_vars = cons_vars
+        self.cons_off = cons_off
+        self.parity = parity
 
     def __len__(self) -> int:
         return len(self.parity)
@@ -171,7 +173,6 @@ class SignConstraints:
                          for s in move_signs(table, x).values())
 
 
-@dataclass(frozen=True)
 class SignAssignment:
     """Solved +-1 labels on the moves of the full table of ``constraints``.
 
@@ -179,8 +180,11 @@ class SignAssignment:
     + t]``: the solver's own unknowns, with no copy keyed by move.
     """
 
-    constraints: SignConstraints
-    values: bytearray
+    __slots__ = ("constraints", "values")
+
+    def __init__(self, constraints: SignConstraints, values: bytearray):
+        self.constraints = constraints
+        self.values = values
 
     @property
     def table(self) -> MoveTable:

@@ -328,10 +328,10 @@ def test_homology_on_a_link_grid_exits_2(capsys):
     for argv in (["homology", hopf], ["homology", hopf, "--coefficients", "z"],
                  ["genus", hopf, "--coefficients", "f2"], ["alexander", hopf]):
         rc, out, err = run(capsys, argv)
-        assert rc == 2, argv
-        assert out == ""
-        assert err.startswith("gridhfk: validation error: Alexander grading")
-        assert "multi-component link" in err
+        assert (rc, out) == (2, ""), argv
+        assert err == ("gridhfk: validation error: Alexander grading of "
+                       "(0, 1, 2, 3) is 1/2; the grid presents a "
+                       "multi-component link\n"), argv
 
 
 def test_validation_error_json_stderr(capsys):
@@ -407,6 +407,48 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "t - 1 + t^-1\n"
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from gridhfk.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _modules_loaded(argv):
+    """Exit code and ``sys.modules`` of a fresh process that ran ``argv``."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, check=True)
+    code, names = json.loads(proc.stdout)
+    return code, set(names)
+
+
+@pytest.mark.parametrize("argv,needs,skips", [
+    (["homology", TREFOIL, "--coefficients", "f2", "--json"],
+     {"gridhfk.invariants"}, {"gridhfk.signs", "gridhfk.poset"}),
+    (["homology", TREFOIL, "--coefficients", "z", "--json"],
+     {"gridhfk.invariants", "gridhfk.signs"}, {"gridhfk.poset"}),
+    (["homology", TREFOIL, "--version", "minus", "--coefficients", "z",
+      "--truncate", "2", "--json"],
+     {"gridhfk.signs"}, {"gridhfk.invariants", "gridhfk.poset"}),
+    (["poset", "stats", TREFOIL, "--version", "hat", "--coefficients", "f2",
+      "--seed", "0", "--json"],
+     {"gridhfk.poset", "gridhfk.signs"}, {"gridhfk.invariants"}),
+    (["check", "signs", TREFOIL],
+     {"gridhfk.signs"}, {"gridhfk.invariants", "gridhfk.poset"}),
+], ids=["hat-f2", "hat-z", "minus-z", "poset-f2", "check-signs"])
+def test_a_command_loads_only_the_modules_it_runs(argv, needs, skips):
+    """The benchmark's four commands and ``check signs``, each in a fresh
+    process: no dataclasses or exact rationals on any of them, and the
+    invariants, the poset lab and the sign solver only where they run."""
+    code, loaded = _modules_loaded(argv)
+    assert code == 0
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert needs <= loaded
+    assert not loaded & skips
 
 
 def test_z_paths_neither_solve_signs_nor_build_the_full_table(

@@ -1,15 +1,19 @@
 """Grid model: parsing, validation, components, symmetries, moves."""
 
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from conftest import knot_grids
 from gridhfk.errors import GridFormatError, IllegalCommutation, NotDestabilizable
 from gridhfk.grid import (
     Grid,
     apply_symmetry,
     commute,
     destabilize,
+    grid_from_json,
     link_components,
     markings,
     parse_grid,
@@ -30,6 +34,14 @@ def test_parse_round_trip():
     assert g.x_cols == (0, 1, 2, 3, 4)
     assert serialize_grid(g) == text
     assert parse_grid(serialize_grid(g)) == g
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(knot_grids(max_n=8))
+def test_text_and_json_forms_round_trip(g):
+    assert parse_grid(serialize_grid(g)) == g
+    assert grid_from_json(json.dumps(g.to_json_dict())) == g
 
 
 def test_parse_inline():

@@ -76,6 +76,20 @@ def test_invariant_factors_match_dense_smith_form(matrix):
     assert sorted(invariant_factors(rows)) == _snf_factors(rows, n)
 
 
+def test_unit_free_core_stays_small():
+    """A 7 x 8 unit-free core whose entries grew past 800,000 bits when
+    each column was cleared by repeated division with swaps."""
+    rows = [{2: 3, 0: -2, 1: 2, 4: -2, 6: -2, 7: 3},
+            {4: -3, 2: -3, 7: -2, 6: -3, 0: -2}, {2: -2, 5: -2, 1: 3}, {},
+            {4: 3, 3: 3, 7: 3, 1: 3}, {3: -3, 2: 2, 1: -2, 5: 3},
+            {2: 2, 3: 3, 5: -3, 1: 2, 4: -2}, {7: 3}]
+    assert invariant_factors(rows) == [1, 1, 1, 1, 1, 3, 6]
+    dense = [[row.get(c, 0) for c in range(8)] for row in rows]
+    d, u, v = smith_normal_form(dense)
+    assert d == _matmul(_matmul(u, dense), v)
+    assert max(abs(e) for m in (u, v) for row in m for e in row) < 1 << 64
+
+
 def _z_blocks(cx):
     """The boundary blocks (m, a) -> (m - 1, a) of a complex, as sparse rows."""
     by_ma: dict[tuple[int, int], list[int]] = {}
