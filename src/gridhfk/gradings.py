@@ -28,16 +28,18 @@ where ``jj`` is twice the pairing.  The quadratic point-set pairing
 ``_jj_points`` builds those tables and constants, and ``j_pair`` on exact
 rationals is the reference the tests check both against.
 
-Because ``A`` is linear in the points of ``x``, two sums over the n!
+Because ``A`` is linear in the points of ``x``, sums over the n!
 generators need no enumeration.  ``top_generators`` lists those with
 ``A`` at or above a floor by branch and bound over the rows of
-``T_X - T_O``.
+``T_X - T_O``.  ``_generator_sums`` places the rows one at a time and
+keeps, for each set of used columns, the partial sums of ``T_X - T_O``
+with their plain and signed counts: the generators per Alexander
+grading, and ``euler_characteristic``, the sum of ``(-1)^M(x) t^A(x)``.
 Every rectangle is a transposition that drops ``M`` by one, so
 ``(-1)^M(x)`` is a global sign times the permutation sign of ``x``, and
-``euler_characteristic``, the sum of ``(-1)^M t^A``, is the determinant
-of the matrix of monomials ``t^((T_X - T_O)[r][c] / 2)`` (the grid
-determinant of Manolescu-Ozsvath-Sarkar), which ``determinant_alexander``
-divides by ``(1 - t^-1)^(n-1)`` to give the Alexander polynomial.
+the signed count is the grid determinant of Manolescu-Ozsvath-Sarkar,
+which ``determinant_alexander`` divides by ``(1 - t^-1)^(n-1)`` to give
+the Alexander polynomial.
 """
 
 from __future__ import annotations
@@ -241,113 +243,80 @@ def top_generators(g: Grid, floor: int) -> list[tuple[int, ...]]:
     return found
 
 
-def _pmul(p: list[int], q: list[int]) -> list[int]:
-    """Product of two polynomials held as coefficient lists, lowest first."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
+def _generator_sums(g: Grid) -> dict[int, tuple[int, int]]:
+    """``A -> (sum_x (-1)^M(x), #x)`` over the n! generators, row by row.
 
-
-def _psub(p: list[int], q: list[int]) -> list[int]:
-    out = p + [0] * (len(q) - len(p))
-    for j, b in enumerate(q):
-        out[j] -= b
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _pdiv(p: list[int], q: list[int]) -> list[int]:
-    """``p / q`` in Z[u]; raises InexactDivision unless ``q`` divides ``p``."""
-    p = list(p)
-    dq, lead = len(q) - 1, q[-1]
-    out = [0] * max(len(p) - dq, 0)
-    for i in range(len(out) - 1, -1, -1):
-        c, rem = divmod(p[i + dq], lead)
-        if rem:
-            raise InexactDivision("polynomial division left a remainder")
-        out[i] = c
-        if c:
-            for j, b in enumerate(q):
-                p[i + j] -= c * b
-    if any(p[:dq]):
-        raise InexactDivision("polynomial division left a remainder")
-    return out
-
-
-def _determinant(g: Grid) -> tuple[list[int], int]:
-    """``sum_x (-1)^M(x) u^e(x)`` as a coefficient list, and its shift.
-
-    Fraction-free (Bareiss) elimination on the matrix of monomials
-    ``u^t_xo[r][c]`` with ``u = t^(1/2)``, each row divided by its lowest
-    monomial so every entry is a polynomial.  The determinant is
-    ``sum_x sign(x) u^e(x)`` with ``e(x) = sum_r (t_xo[r][x[r]] - low_r)``;
-    the identity generator's Maslov parity fixes the global sign, and
-    ``4 A(x) = 2 e(x) + shift``.
+    Rows are placed in order.  For each set of used columns the partial
+    sums of ``t_xo`` map to their signed and plain counts; putting row r
+    in column c adds ``t_xo[r][c]`` and flips the sign once per earlier
+    row in a larger column, so the signed count tracks the permutation
+    sign.  The identity generator's Maslov parity fixes the global sign,
+    and ``4 A(x) = 2 sum_r t_xo[r][x[r]] + shift``.  A link grid raises
+    NonIntegralAlexander on the identity generator, as the hat does.
     """
-    n = g.n
+    identity = tuple(range(g.n))
+    alexander(g, identity)
     pair = _grid_pairings(g)
-    low = [min(row) for row in pair.t_xo]
-    m = [[[0] * (v - lo) + [1] for v in row]
-         for row, lo in zip(pair.t_xo, low)]
-    sign = -1 if maslov(g, tuple(range(n))) % 2 else 1
-    shift = 2 * sum(low) + pair.alexander_shift
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return [], shift
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, top = m[k][k], m[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = _pdiv(_psub(_pmul(row[j], pivot),
-                                     _pmul(lead, top[j])), prev)
-        prev = pivot
-    return [sign * c for c in m[n - 1][n - 1]], shift
+    states = {0: {0: (1, 1)}}
+    for row in pair.t_xo:
+        grown: dict[int, dict[int, tuple[int, int]]] = {}
+        for used, sums in states.items():
+            for c, v in enumerate(row):
+                if used >> c & 1:
+                    continue
+                flip = -1 if (used >> c).bit_count() & 1 else 1
+                out = grown.setdefault(used | 1 << c, {})
+                for s, (signed, count) in sums.items():
+                    old_signed, old_count = out.get(s + v, (0, 0))
+                    out[s + v] = (old_signed + flip * signed, old_count + count)
+        states = grown
+    sign = -1 if maslov(g, identity) % 2 else 1
+    (sums,) = states.values()
+    return {(2 * s + pair.alexander_shift) // 4: (sign * signed, count)
+            for s, (signed, count) in sums.items()}
 
 
-def _in_t(poly: list[int], shift: int) -> dict[int, int]:
-    """``sum_e poly[e] t^((2 e + shift) / 4)`` as exponent -> coefficient."""
-    out = {}
-    for e, c in enumerate(poly):
-        if c:
-            if (2 * e + shift) % 4:
-                raise NonIntegralAlexander(
-                    "the grid determinant has half-integral exponents; "
-                    "the grid presents a multi-component link")
-            out[(2 * e + shift) // 4] = c
-    return out
+def _divide_once(poly: dict[int, int], step: int,
+                 floor: int | None = None) -> dict[int, int]:
+    """Divide sum(c_a x^a) by (1 + step x^-1), from the top down.
+
+    Raises if the remainder is nonzero.  With ``floor`` set, the quotient
+    stops at x^floor, which needs only the coefficients at ``a >= floor``
+    and leaves no remainder to check.
+    """
+    top = max(poly)
+    bottom = min(poly) if floor is None else floor - 1
+    quot: dict[int, int] = {}
+    prev = 0
+    for a in range(top, bottom, -1):
+        cur = poly.get(a, 0) - step * prev
+        if cur:
+            quot[a] = cur
+        prev = cur
+    if floor is None and poly.get(bottom, 0) - step * prev:
+        raise InexactDivision("exact division left a remainder")
+    return quot
 
 
 def euler_characteristic(g: Grid) -> dict[int, int]:
-    """``sum_x (-1)^M(x) t^A(x)`` over all n! generators, by the determinant.
+    """``sum_x (-1)^M(x) t^A(x)`` over all n! generators, by the row sums.
 
     Returns exponent -> nonzero coefficient; raises NonIntegralAlexander
     on a link grid.
     """
-    return _in_t(*_determinant(g))
+    return {a: signed for a, (signed, _) in _generator_sums(g).items()
+            if signed}
 
 
 def determinant_alexander(g: Grid) -> dict[int, int]:
     """Alexander polynomial of the knot of ``g``, normalized to 1 at t = 1.
 
-    The generator Euler characteristic divided by ``(1 - t^-1)^(n-1)``,
-    which is ``u^-2 (u^2 - 1)`` once per factor; returns exponent ->
-    nonzero coefficient.
+    The generator Euler characteristic divided by ``(1 - t^-1)^(n-1)``;
+    returns exponent -> nonzero coefficient.
     """
-    poly, shift = _determinant(g)
+    delta = euler_characteristic(g)
     for _ in range(g.n - 1):
-        poly = _pdiv(poly, [-1, 0, 1])
-    delta = _in_t(poly, shift + 4 * (g.n - 1))
+        delta = _divide_once(delta, -1)
     if sum(delta.values()) < 0:
         delta = {a: -c for a, c in delta.items()}
     return delta

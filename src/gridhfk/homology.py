@@ -16,6 +16,7 @@ from .errors import (
     InvalidDifferential,
     OverflowGuard,
 )
+from .gradings import _divide_once
 from .linalg import f2_rank, invariant_factors
 
 __all__ = [
@@ -178,28 +179,6 @@ def poincare_string(poly: dict[tuple[int, int], int]) -> str:
     return " + ".join(terms)
 
 
-def _divide_once(diag: dict[int, int],
-                 floor: int | None = None) -> dict[int, int]:
-    """Divide sum(c_a x^a) by (1 + x^-1), from the top down.
-
-    Raises if the remainder is nonzero.  With ``floor`` set, the quotient
-    stops at x^floor, which needs only the coefficients at ``a >= floor``
-    and leaves no remainder to check.
-    """
-    top = max(diag)
-    bottom = min(diag) if floor is None else floor - 1
-    quot: dict[int, int] = {}
-    prev = 0
-    for a in range(top, bottom, -1):
-        cur = diag.get(a, 0) - prev
-        if cur:
-            quot[a] = cur
-        prev = cur
-    if floor is None and diag.get(bottom, 0) - prev:
-        raise InexactDivision("tensor-factor division left a remainder")
-    return quot
-
-
 def extract_hat(tilde: BigradedRanks, n: int,
                 top_half: bool = False) -> BigradedRanks:
     """Peel n-1 two-step tensor factors off tilde homology.
@@ -231,7 +210,7 @@ def extract_hat(tilde: BigradedRanks, n: int,
     floor = TOP_HALF_FLOOR if top_half else None
     for delta, diag in diagonals.items():
         for _ in range(n - 1):
-            diag = _divide_once(diag, floor)
+            diag = _divide_once(diag, 1, floor)
             if not diag:
                 break
         if top_half and any(diag.get(a, 0) != diag.get(-a, 0)

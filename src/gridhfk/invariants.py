@@ -24,7 +24,7 @@ from .errors import (
     InvalidHomology,
     NotDestabilizable,
 )
-from .gradings import alexander, determinant_alexander
+from .gradings import determinant_alexander
 from .grid import Grid, commute, destabilize, stabilize
 from .homology import BigradedRanks, extract_hat, homology
 
@@ -158,7 +158,6 @@ def grid_alexander_polynomial(g: Grid, coefficients: str = "Z",
     A Z hat with torsion would fail; this still gives Delta.
     """
     _check_grid_size(g, max_grid)
-    alexander(g, tuple(range(g.n)))
     return _normalized(determinant_alexander(g), coefficients == "F2")
 
 
@@ -311,8 +310,11 @@ def check_invariance(g: Grid, moves, seed: int = 0, coefficients: str = "F2",
     integer count, in which case that many legal moves are sampled with
     the given seed.  The table after every move is compared against the
     starting table; the report records the first divergence, which for a
-    correct pipeline never occurs.
+    correct pipeline never occurs.  A grid over ``max_grid``, at the start
+    or along an explicit move list, raises ResourceLimit before any table
+    is built.
     """
+    _check_grid_size(g, max_grid)
     if isinstance(moves, int):
         rng = random.Random(seed)
         sampled: list[MoveDescriptor] = []
@@ -331,8 +333,9 @@ def check_invariance(g: Grid, moves, seed: int = 0, coefficients: str = "F2",
     grids = [g]
     for mv in descriptors:
         grids.append(apply_move(grids[-1], mv))
+        _check_grid_size(grids[-1], max_grid)
 
-    tables = [hat_homology(h, coefficients, max_grid=max(max_grid, h.n))
+    tables = [hat_homology(h, coefficients, max_grid=max_grid)
               for h in grids]
 
     divergence = None

@@ -26,18 +26,19 @@ from .complexes import (
     DEFAULT_MAX_GRID,
     ChainComplex,
     Rectangle,
+    _check_grid_size,
     _differential,
     _term_class,
     connecting_domain,
-    enumerate_generators,
     move_table,
 )
 from .errors import EmptyInterval, InvalidDifferential
-# maslov is called through complexes; perfbench wraps it under this name.
+from .gradings import _generator_sums
+# maslov and alexander are called through complexes and gradings, not from
+# here; perfbench wraps both under these names.
 from .gradings import alexander, maslov  # noqa: F401
 from .grid import Grid
 from .homology import BigradedRanks, homology
-from .signs import move_sign
 
 __all__ = [
     "ELLabel",
@@ -171,12 +172,15 @@ def alexander_range(g: Grid, mode: str = "hat", truncation: int | None = None,
                     max_grid: int = DEFAULT_MAX_GRID) -> range:
     """Alexander gradings carrying at least one basis element.
 
+    The generators' lowest and highest A come from their counts per
+    grading (``gradings._generator_sums``), not from listing all n!.
     The truncated minus basis reaches ``n * (truncation - 1)`` gradings
     below the plain generators, one step per exponent unit.
     """
     d = _truncation(mode, truncation)
-    vals = [alexander(g, x) for x in enumerate_generators(g, max_grid)]
-    return range(min(vals) - g.n * (d - 1), max(vals) + 1)
+    _check_grid_size(g, max_grid)
+    counts = _generator_sums(g)
+    return range(min(counts) - g.n * (d - 1), max(counts) + 1)
 
 
 # ------------------------------------------------------------- components
@@ -199,6 +203,8 @@ def components(p: GridPoset, coefficients: str = "F2",
             return [(l, 1) for l, _ in p.covers[u]]
         x = p._split(p.elements[u])[0]
         if signs is None:
+            from .signs import move_sign
+
             return [(l, move_sign(x, rect.row, rect.top))
                     for l, rect in p.covers[u]]
         sign = signs.row(x)

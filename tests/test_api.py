@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +143,14 @@ def test_chain_complex_is_unhashable():
     cx = ChainComplex("F2", "tilde", g, None, [(0, 1)], [(0, 0)], [[]])
     with pytest.raises(TypeError):
         hash(cx)
+
+
+def test_no_assert_statements_in_the_package():
+    """Invariants raise typed errors from ``errors.py``: ``python -O``
+    strips ``assert`` statements, and the check with them."""
+    found = []
+    for path in sorted(Path(gridhfk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -289,7 +289,6 @@ def test_truncate_checked_before_any_work(capsys, monkeypatch):
         raise AssertionError("move_sign ran before --truncate was checked")
 
     monkeypatch.setattr("gridhfk.signs.move_sign", refuse)
-    monkeypatch.setattr("gridhfk.poset.move_sign", refuse)
     for argv in (["homology", TORUS34, "--version", "minus"],
                  ["homology", TORUS34],
                  ["poset", "stats", TREFOIL, "--version", "minus"],
@@ -345,11 +344,16 @@ def test_validation_error_json_stderr(capsys):
 
 
 def test_resource_ceiling_exit_3(capsys):
-    rc, _, err = run(capsys, ["homology", GRANNY, "--max-grid", "5", "--json"])
-    assert rc == 3
-    data = json.loads(err)
-    assert data["error"]["exit"] == 3
-    assert data["error"]["kind"] == "resource"
+    errors = []
+    for command in (["homology"], ["check", "invariance", "--moves", "1"]):
+        rc, out, err = run(capsys, [*command, GRANNY, "--max-grid", "5",
+                                    "--json"])
+        assert rc == 3 and out == "", command
+        data = json.loads(err)
+        assert data["error"]["exit"] == 3
+        assert data["error"]["kind"] == "resource"
+        errors.append(data)
+    assert errors[0] == errors[1]
 
 
 def test_bad_memory_env_is_usage_error(capsys, monkeypatch):
@@ -436,10 +440,13 @@ def _modules_loaded(argv):
      {"gridhfk.signs"}, {"gridhfk.invariants", "gridhfk.poset"}),
     (["poset", "stats", TREFOIL, "--version", "hat", "--coefficients", "f2",
       "--seed", "0", "--json"],
+     {"gridhfk.poset"}, {"gridhfk.invariants", "gridhfk.signs"}),
+    (["poset", "stats", TREFOIL, "--version", "hat", "--coefficients", "z",
+      "--seed", "0", "--json"],
      {"gridhfk.poset", "gridhfk.signs"}, {"gridhfk.invariants"}),
     (["check", "signs", TREFOIL],
      {"gridhfk.signs"}, {"gridhfk.invariants", "gridhfk.poset"}),
-], ids=["hat-f2", "hat-z", "minus-z", "poset-f2", "check-signs"])
+], ids=["hat-f2", "hat-z", "minus-z", "poset-f2", "poset-z", "check-signs"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needs, skips):
     """The benchmark's four commands and ``check signs``, each in a fresh
     process: no dataclasses or exact rationals on any of them, and the

@@ -15,7 +15,7 @@ from conftest import (
     UNKNOT2,
 )
 from gridhfk.complexes import move_table
-from gridhfk.errors import AsymmetryDetected, InvalidHomology
+from gridhfk.errors import AsymmetryDetected, InvalidHomology, ResourceLimit
 from gridhfk.grid import Grid, random_knot_grid
 from gridhfk.homology import BigradedRanks
 from gridhfk.invariants import (
@@ -253,6 +253,19 @@ def test_invariance_explicit_stabilizations():
     assert report.ok
     assert report.tables[0].blocks == {(0, 0): (1, ())}
     assert [g.n for g in report.grids] == [2, 3, 4]
+
+
+def test_invariance_refuses_stabilization_past_max_grid(monkeypatch):
+    """An explicit move list is checked whole before any table is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built before the size check")
+
+    monkeypatch.setattr("gridhfk.invariants.hat_homology", refuse)
+    with pytest.raises(ResourceLimit, match="grid size 4 exceeds the ceiling 3"):
+        check_invariance(UNKNOT2, [("stabilize", 0, "a"),
+                                   ("stabilize", 1, "c")], max_grid=3)
+    with pytest.raises(ResourceLimit, match="grid size 5 exceeds the ceiling 4"):
+        check_invariance(TREFOIL5, 1, max_grid=4)
 
 
 def test_invariance_report_flags_divergence():

@@ -39,6 +39,7 @@ from gridhfk.errors import (
     ResourceLimit,
 )
 from gridhfk.gradings import (
+    _generator_sums,
     alexander,
     determinant_alexander,
     euler_characteristic,
@@ -53,6 +54,7 @@ from gridhfk.invariants import (
     grid_alexander_polynomial,
     hat_homology,
 )
+from gridhfk.poset import alexander_range
 from gridhfk.signs import solve_signs
 
 HOPF = Grid(4, (0, 1, 2, 3), (2, 3, 0, 1))
@@ -96,18 +98,42 @@ def test_determinant_gives_the_pinned_alexander_polynomial(name):
 
 
 def test_determinant_is_the_generator_sum():
+    """The row sums give, per A, the signed and the plain generator count."""
     rng = random.Random(5)
-    for n in (2, 3, 4, 5, 5, 6):
+    for n in (2, 3, 4, 5, 5, 6, 7):
         g = random_knot_grid(n, rng)
-        chi = collections.Counter()
+        chi, count = collections.Counter(), collections.Counter()
         for x in enumerate_generators(g):
-            chi[alexander(g, x)] += (-1) ** maslov(g, x)
+            a = alexander(g, x)
+            chi[a] += (-1) ** maslov(g, x)
+            count[a] += 1
         assert euler_characteristic(g) == {a: c for a, c in chi.items() if c}
+        assert _generator_sums(g) == {a: (chi[a], count[a]) for a in count}
 
 
 def test_determinant_refuses_links():
     with pytest.raises(NonIntegralAlexander):
         euler_characteristic(HOPF)
+
+
+def test_alexander_range_matches_the_generator_scan():
+    """The range from the row sums is the one the n! scan gave."""
+    rng = random.Random(11)
+    for n in (2, 3, 4, 5, 6, 6):
+        g = random_knot_grid(n, rng)
+        grades = [alexander(g, x) for x in enumerate_generators(g)]
+        low, high = min(grades), max(grades)
+        assert alexander_range(g) == range(low, high + 1)
+        assert alexander_range(g, "minus", 2) == range(low - n, high + 1)
+
+
+def test_alexander_range_refusals():
+    with pytest.raises(NonIntegralAlexander):
+        alexander_range(HOPF)
+    with pytest.raises(ResourceLimit):
+        alexander_range(TREFOIL5, max_grid=4)
+    with pytest.raises(ResourceLimit):
+        alexander_range(GRANNY9, "minus", 2, max_grid=8)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DELTA))
