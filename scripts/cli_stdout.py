@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Fingerprint the CLI's stdout on a fixed list of commands.
+
+Prints one line per command: ``sha256(stdout) exit-code command``.  Each
+command runs in a fresh ``python -m gridhfk.cli`` process against the
+``src`` of the checkout that holds this script, from that checkout's
+root, so the fixture paths resolve.  Diffing the output of two checkouts
+shows whether a change moved any table, report or exit code:
+
+    python3 scripts/cli_stdout.py > before.txt   # in the old checkout
+    python3 scripts/cli_stdout.py > after.txt    # in the new one
+    diff before.txt after.txt
+
+Stderr is not hashed; timing-free output is the contract only on stdout.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# knot8 of the benchmark's fixed jobs, inline
+KNOT8 = "8;X=6,4,3,1,5,0,7,2;O=0,1,7,6,2,3,5,4"
+
+COMMANDS = [
+    "homology fixtures/unknot2.grid",
+    "homology fixtures/trefoil5.grid",
+    "homology fixtures/granny.grid",
+    f"homology {KNOT8}",
+    "homology fixtures/fig8.grid --coefficients z",
+    "homology fixtures/granny.grid --coefficients z",
+    "homology fixtures/torus34.grid --coefficients z --json",
+    "homology fixtures/fig8.grid --version tilde",
+    "homology fixtures/fig8.grid --version tilde --coefficients z",
+    "homology fixtures/trefoil5.grid --version minus --coefficients z",
+    "homology fixtures/trefoil5.grid --version minus --truncate 3 "
+    "--coefficients z",
+    "homology fixtures/fig8.grid --version minus --truncate 2 "
+    "--coefficients z --json",
+    "alexander fixtures/granny.grid",
+    "genus fixtures/torus34.grid",
+    "fibered fixtures/torus34.grid",
+    "poset stats fixtures/torus34.grid",
+    "poset stats fixtures/trefoil5.grid --json",
+    "poset stats fixtures/trefoil5.grid --version minus --truncate 2 "
+    "--coefficients z",
+    "poset stats fixtures/fig8.grid --coefficients z",
+    "check invariance fixtures/trefoil5.grid --moves 3 --seed 7",
+    "check invariance fixtures/trefoil5.grid --moves 3 --seed 7 "
+    "--coefficients z",
+    "check signs fixtures/torus34.grid",
+    "check signs fixtures/fig8.grid --json",
+]
+
+
+def fingerprint(command: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridhfk.cli", *command.split()],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    return f"{digest} {proc.returncode} {command}"
+
+
+def main() -> int:
+    for command in COMMANDS:
+        print(fingerprint(command), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

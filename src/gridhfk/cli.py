@@ -327,6 +327,8 @@ def _cmd_poset_stats(args) -> int:
 def _cmd_check_invariance(args) -> int:
     from .invariants import check_invariance
 
+    if args.moves < 0:
+        raise UsageError(f"--moves must be >= 0, got {args.moves}")
     g = load_grid(args.grid)
     coeff = _coefficients(args)
     report = check_invariance(g, args.moves, seed=args.seed,

@@ -137,7 +137,7 @@ class Rectangle:
 
     @property
     def id(self) -> int:
-        """Position in the ``rects`` of every move table of the grid."""
+        """Key in the ``rects`` of every move table of the grid."""
         m = self.n - 1
         return ((self.col * self.n + self.row) * m + self.width - 1) * m \
             + self.height - 1
@@ -153,21 +153,19 @@ class MoveTable:
     ``""`` keeps every empty rectangle (only the sign solver reads them all),
     ``"X"`` the X-free ones the minus differential counts, and ``"XO"``
     the marking-free ones of the tilde differential.  ``moves[i]`` lists
-    ``(rect_id, target_generator_id)`` pairs, ordered by the two rows the
-    rectangle swaps (lower row, then upper row, the rectangle whose
-    lower-left corner sits on the lower row first), so each class is the
-    full table filtered to it.  ``rects`` holds every rectangle of the grid
-    in ``(col, row, width, height)`` order, so ids agree between classes.
-    ``gens`` is every generator in lexicographic order, unless a subset
-    closed under the class's moves is given: for ``"XO"``, any union of
-    Alexander gradings.
+    ``(rect_id, target_generator_id)`` pairs in scan order: by the row of
+    the lower-left corner, then by height.  A class only drops moves, so
+    each class row is the full row filtered to it.  ``rects`` maps the id
+    of every rectangle of the class to the rectangle; ids are
+    ``Rectangle.id``, so they agree between classes.  ``gens`` is every
+    generator in lexicographic order, unless a subset closed under the
+    class's moves is given: for ``"XO"``, any union of Alexander gradings.
 
     Out of generator ``x``, the rectangles with lower-left corner ``x[b]``
     are found by one scan upward over the heights, carrying the nearest
     point column met so far (the interior must stay left of it) and the
-    per-grid room for the class (the widest span of columns from ``x[b]``
-    whose rows hold no marking of the class); the scan stops when either
-    leaves no width.
+    per-grid room for the class (see ``_scans``); the scan stops when
+    either leaves no width.
     """
 
     def __init__(self, g: Grid, cls: str = "",
@@ -181,22 +179,14 @@ class MoveTable:
         self.grid = g
         self.gens = gens
         gen_index = self.gen_index = {x: i for i, x in enumerate(self.gens)}
-        x_cols, o_cols = g.x_cols, g.o_cols
-        self.rects: list[Rectangle] = []
-        sides = range(1, n)
-        for a, b, w, h in itertools.product(range(n), range(n), sides, sides):
-            rows = [(b + dr) % n for dr in range(h)]
-            xs = tuple(r for r in rows if (x_cols[r] - a) % n < w)
-            os_ = tuple(r for r in rows if (o_cols[r] - a) % n < w)
-            self.rects.append(Rectangle(n, a, b, w, h, xs, os_))
-        scans = _scans(g, cls)
+        scans, self.rects = _scans(g, cls)
         self.moves: list[list[tuple[int, int]]] = []
         for x in self.gens:
-            found = []
+            row = []
             for b, scan in enumerate(scans):
                 a = x[b]
                 bound = n
-                for t, cap, key, rid in scan[a]:
+                for t, cap, rid in scan[a]:
                     if cap >= bound:
                         if bound == 1:
                             break
@@ -206,29 +196,28 @@ class MoveTable:
                     if w <= cap:
                         y = list(x)
                         y[b], y[t] = c, a
-                        found.append((key, rid + w * (n - 1),
-                                      gen_index[tuple(y)]))
+                        row.append((rid + w * (n - 1), gen_index[tuple(y)]))
                     if w < bound:
                         bound = w
-            found.sort()
-            self.moves.append([(rid, j) for _, rid, j in found])
+            self.moves.append(row)
 
 
-def _scans(g: Grid, cls: str) -> list[list[list[tuple[int, int, int, int]]]]:
-    """Per-grid steps of the upward scan from a lower-left corner.
+def _scans(g: Grid, cls: str):
+    """Per-grid steps of the upward scan, and the class's rectangles by id.
 
     ``scans[b][a]`` lists, for each height h whose rows ``b..b+h-1`` leave
     room from column ``a`` for a rectangle covering no marking of the
-    class, the tuple ``(top row, widest such width, sort key, id of the
-    width-0 rectangle)``; a rectangle's id is the last plus ``width *
-    (n - 1)``.  The sort key orders the two rows a move swaps, lower row
-    first, then the rectangle whose corner sits on the lower row first.
+    class, the tuple ``(top row, widest such width, id of the width-0
+    rectangle)``; a rectangle's id is the last plus ``width * (n - 1)``.
+    The rectangles of the class with that corner and height are exactly
+    the widths up to the room, so the same loop makes them.
     """
     n = g.n
     m = n - 1
-    marks = [cols for name, cols in (("X", g.x_cols), ("O", g.o_cols))
+    x_cols, o_cols = g.x_cols, g.o_cols
+    marks = [cols for name, cols in (("X", x_cols), ("O", o_cols))
              if name in cls]
-    scans = []
+    scans, rects = [], {}
     for b in range(n):
         by_col = []
         for a in range(n):
@@ -238,12 +227,16 @@ def _scans(g: Grid, cls: str) -> list[list[list[tuple[int, int, int, int]]]]:
                 room = min([room] + [(cols[r] - a) % n for cols in marks])
                 if room == 0:
                     break
-                t = (b + h) % n
-                key = (t * n + b) * 2 + 1 if t < b else (b * n + t) * 2
-                steps.append((t, room, key, (a * n + b) * m * m - m + h - 1))
+                rid = (a * n + b) * m * m - m + h - 1
+                steps.append(((b + h) % n, room, rid))
+                rows = [(b + dr) % n for dr in range(h)]
+                for w in range(1, min(room, m) + 1):
+                    xs = tuple(r for r in rows if (x_cols[r] - a) % n < w)
+                    os_ = tuple(r for r in rows if (o_cols[r] - a) % n < w)
+                    rects[rid + w * m] = Rectangle(n, a, b, w, h, xs, os_)
             by_col.append(steps)
         scans.append(by_col)
-    return scans
+    return scans, rects
 
 
 def _check_address_space(n: int, cls: str = "") -> None:
@@ -495,7 +488,7 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
     tilde = version == "tilde"
     table = move_table(g, max_grid, _term_class(d), top_half)
     if coefficients == "F2":
-        ones = [1] * len(table.rects)
+        ones = dict.fromkeys(table.rects, 1)
         entry = lambda x: ones
     elif signs is None:
         from .signs import move_signs  # signs imports this module

@@ -213,8 +213,21 @@ def serialize_grid(g: Grid) -> str:
 
 
 def grid_from_json(text: str) -> Grid:
+    """Grid from ``{"n": ..., "x_cols": [...], "o_cols": [...]}``.
+
+    The size and every column must be JSON integers: a float, a bool or a
+    string is refused, not truncated or coerced.
+    """
     data = json.loads(text)
-    return Grid(int(data["n"]), tuple(data["x_cols"]), tuple(data["o_cols"]))
+    x_cols, o_cols = (tuple(_json_int(c, key) for c in data[key])
+                      for key in ("x_cols", "o_cols"))
+    return Grid(_json_int(data["n"], "n"), x_cols, o_cols)
+
+
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise GridFormatError(f"{field}: {json.dumps(value)} is not an integer")
+    return value
 
 
 def link_components(g: Grid) -> int:

@@ -232,7 +232,8 @@ def apply_move(g: Grid, move: MoveDescriptor) -> Grid:
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def legal_moves(g: Grid, max_grid: int = 7) -> list[MoveDescriptor]:
+def legal_moves(g: Grid,
+                max_grid: int = DEFAULT_MAX_GRID) -> list[MoveDescriptor]:
     """Every move legal on ``g``, with stabilizations capped at ``max_grid``.
 
     The cap keeps randomly grown grids small enough that recomputing
@@ -303,7 +304,7 @@ class InvarianceReport:
 
 
 def check_invariance(g: Grid, moves, seed: int = 0, coefficients: str = "F2",
-                     max_grid: int = 7) -> InvarianceReport:
+                     max_grid: int = DEFAULT_MAX_GRID) -> InvarianceReport:
     """Replay moves on ``g`` and verify the hat table never changes.
 
     ``moves`` is either an explicit sequence of move descriptors or an

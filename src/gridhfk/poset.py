@@ -26,6 +26,7 @@ from .complexes import (
     DEFAULT_MAX_GRID,
     ChainComplex,
     Rectangle,
+    _check_coefficients,
     _check_grid_size,
     _differential,
     _term_class,
@@ -195,6 +196,7 @@ def components(p: GridPoset, coefficients: str = "F2",
     generator: ``move_sign``'s closed form, unless ``signs`` gives a
     solved assignment.
     """
+    _check_coefficients(coefficients)
     m = len(p.elements)
 
     def coeffs(u: int) -> list[tuple[int, int]]:

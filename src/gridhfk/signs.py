@@ -299,12 +299,12 @@ def sign_constraints(g: Grid,
     # The unknown of the t-th move out of generator i is first[i] + t.
     first = list(accumulate(map(len, moves), initial=0))
 
-    rect_masks = []
-    for rect in table.rects:
+    rect_masks = {}
+    for rid, rect in table.rects.items():
         m = 0
         for r, c in rect.cells():
             m += 1 << (2 * (r * n + c))
-        rect_masks.append(m)
+        rect_masks[rid] = m
     horizontal, vertical = _thin_annulus_masks(n)
 
     cons_vars = array("i")

@@ -161,6 +161,27 @@ def test_json_grid_file(tmp_path, capsys):
     assert out == "0\n"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 5.0), ("n", True), ("n", "5"),
+    ("x_cols", [0.0, 1, 2, 3, 4]), ("x_cols", [True, 1, 2, 3, 4]),
+    ("o_cols", [2, 3, "4", 0, 1])])
+def test_json_grid_values_must_be_integers(tmp_path, capsys, field, value):
+    """Floats, bools and strings are refused with exit 2, not coerced."""
+    blob = {"n": 5, "x_cols": [0, 1, 2, 3, 4], "o_cols": [2, 3, 4, 0, 1]}
+    blob[field] = value
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(blob))
+    for argv in (["homology", str(path), "--json"],
+                 ["poset", "stats", str(path), "--json"],
+                 ["moves", "stabilize", str(path), "0", "a", "--json"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, ""), argv
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert f"{field}: " in error["message"]
+        assert "is not an integer" in error["message"]
+
+
 def test_alexander_f2_is_flagged(capsys):
     rc, out, _ = run(capsys,
                      ["alexander", TREFOIL, "--coefficients", "f2"])
@@ -281,6 +302,13 @@ def test_usage_errors_exit_1(capsys):
         assert rc == 1, argv
         assert out == ""
         assert err.startswith("gridhfk: usage error:")
+
+
+def test_negative_moves_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, ["check", "invariance", TREFOIL,
+                                "--moves", "-1"])
+    assert (rc, out) == (1, "")
+    assert err == "gridhfk: usage error: --moves must be >= 0, got -1\n"
 
 
 def test_truncate_checked_before_any_work(capsys, monkeypatch):

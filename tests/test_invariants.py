@@ -268,6 +268,14 @@ def test_invariance_refuses_stabilization_past_max_grid(monkeypatch):
         check_invariance(TREFOIL5, 1, max_grid=4)
 
 
+def test_invariance_defaults_to_the_shared_grid_ceiling():
+    """``check_invariance`` and ``legal_moves`` take the ceiling of
+    ``hat_homology``, so a grid the hat accepts is not refused here."""
+    assert check_invariance(GRANNY9, 0).ok
+    assert ("stabilize", 0, "a") in legal_moves(KNOT8)
+    assert ("stabilize", 0, "a") not in legal_moves(GRANNY9)
+
+
 def test_invariance_report_flags_divergence():
     # Hand the harness two different knots as if a move related them.
     table_t = hat_homology(TREFOIL5, "F2")

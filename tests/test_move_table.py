@@ -1,6 +1,7 @@
 """Move tables: each rectangle class against the definition and the full table."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,9 +22,9 @@ IDS = [f"n{g.n}-{k}" for k, g in enumerate(GRIDS)]
 def _reference_moves(g, x):
     """Empty rectangles out of ``x`` straight from the definition.
 
-    For each pair of rows, lower first, the rectangle with its lower-left
-    corner on the lower row, then the one wrapping from the upper row; a
-    rectangle counts when no point of ``x`` lies strictly inside it.
+    For each pair of rows, the rectangle with its lower-left corner on the
+    lower row and the one wrapping from the upper row; a rectangle counts
+    when no point of ``x`` lies strictly inside it.
     """
     n = g.n
     out = []
@@ -45,21 +46,30 @@ def _keeps(cls, rect):
     return not ("X" in cls and rect.x_rows or "O" in cls and rect.o_rows)
 
 
+def _marked(rects):
+    """Rectangles by id, with the marking rows that equality ignores."""
+    return {rid: (r, r.x_rows, r.o_rows) for rid, r in rects.items()}
+
+
 @pytest.mark.parametrize("g", [g for g in GRIDS if g.n <= 6],
                          ids=[i for g, i in zip(GRIDS, IDS) if g.n <= 6])
 def test_full_table_matches_definition(g):
+    """Every row holds the definition's moves, as a multiset."""
     table = move_table(g)
     for i, x in enumerate(table.gens):
         got = [(table.rects[rid].key, table.gens[j])
                for rid, j in table.moves[i]]
-        assert got == _reference_moves(g, x)
+        assert Counter(got) == Counter(_reference_moves(g, x))
 
 
 @pytest.mark.parametrize("g", GRIDS, ids=IDS)
 def test_class_tables_are_the_full_table_filtered(g):
+    """The full table holds every rectangle; a class keeps its own ones
+    and the moves over them, in the full row's order."""
     full = move_table(g)
     n = g.n
-    for rid, rect in enumerate(full.rects):
+    assert len(full.rects) == n * n * (n - 1) ** 2
+    for rid, rect in full.rects.items():
         rows = [(rect.row + dr) % n for dr in range(rect.height)]
         for cols, got in ((g.x_cols, rect.x_rows), (g.o_cols, rect.o_rows)):
             assert got == tuple(
@@ -68,8 +78,9 @@ def test_class_tables_are_the_full_table_filtered(g):
     for cls in ("X", "XO"):
         table = move_table(g, cls=cls)
         assert table.gens == full.gens
-        assert [(r, r.x_rows, r.o_rows) for r in table.rects] == \
-            [(r, r.x_rows, r.o_rows) for r in full.rects]
+        assert isinstance(table.rects, dict)
+        assert _marked(table.rects) == _marked(
+            {rid: r for rid, r in full.rects.items() if _keeps(cls, r)})
         for row, full_row in zip(table.moves, full.moves):
             assert row == [(rid, j) for rid, j in full_row
                            if _keeps(cls, full.rects[rid])]

@@ -33,6 +33,17 @@ from gridhfk.signs import solve_signs
 UNKNOT3 = Grid(3, (0, 1, 2), (1, 2, 0))
 
 
+
+def test_components_refuse_an_unknown_ring():
+    """A bad ring name is a ValueError, not a broken differential."""
+    p = build_poset(TREFOIL5, 0)
+    for call in (lambda: components(p, "z"),
+                 lambda: poset_stats(TREFOIL5, coefficients="z")):
+        with pytest.raises(ValueError, match="coefficients must be") as info:
+            call()
+        assert not isinstance(info.value, InvalidDifferential)
+
+
 def all_posets(g, mode="hat", truncation=None):
     out = []
     for a in alexander_range(g, mode, truncation):

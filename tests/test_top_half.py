@@ -217,6 +217,24 @@ def test_top_generators_are_those_at_or_above_the_floor():
                 x for x in enumerate_generators(g) if alexander(g, x) >= floor]
 
 
+def test_top_generators_match_the_row_sums_per_alexander_grading():
+    """The branch and bound against the row DP, an independent count.
+
+    Up to n = 8, past the brute-force check above, each floor from the
+    lowest A to 1 lists exactly the DP's count in every grading it keeps.
+    """
+    rng = random.Random(12)
+    for n in range(2, 9):
+        for _ in range(2):
+            g = random_knot_grid(n, rng)
+            sums = _generator_sums(g)
+            for floor in sorted({1, 0, -1, min(sums)}):
+                got = collections.Counter(
+                    alexander(g, x) for x in top_generators(g, floor))
+                assert got == {a: count for a, (_, count) in sums.items()
+                               if a >= floor}, (g, floor)
+
+
 def test_top_generators_refuse_links():
     with pytest.raises(NonIntegralAlexander, match="multi-component link"):
         top_generators(HOPF, 0)
@@ -226,7 +244,8 @@ def test_top_half_table_is_the_full_table_restricted():
     g = TORUS34
     full = move_table(g, cls="XO")
     top = move_table(g, cls="XO", top_half=True)
-    assert top.rects is not full.rects and len(top.rects) == len(full.rects)
+    assert {rid: (r, r.x_rows, r.o_rows) for rid, r in top.rects.items()} \
+        == {rid: (r, r.x_rows, r.o_rows) for rid, r in full.rects.items()}
     for i, x in enumerate(top.gens):
         row = full.moves[full.gen_index[x]]
         assert [(rid, top.gens[j]) for rid, j in top.moves[i]] == \
