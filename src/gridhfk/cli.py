@@ -510,6 +510,8 @@ def _run(argv) -> int:
     try:
         _apply_memory_ceiling()
         args = build_parser().parse_args(argv)
+        if getattr(args, "max_grid", 2) < 2:
+            raise UsageError(f"--max-grid must be >= 2, got {args.max_grid}")
         return args.func(args)
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc), json_mode)

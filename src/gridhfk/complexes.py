@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -268,22 +268,17 @@ def _check_address_space(n: int, cls: str = "") -> None:
 
 def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID,
                cls: str = "", top_half: bool = False) -> MoveTable:
-    """The grid's table of class ``cls``, built once and shared.
+    """A new table of class ``cls`` over the grid, owned by the caller.
 
-    ``max_grid`` only gates the build, so it is checked here and left out
-    of the cache key: every call for one grid and class gets one table.
-    With ``top_half`` the table covers only the generators with
-    ``A >= TOP_HALF_FLOOR``, which the marking-free class ``"XO"`` alone
-    never leaves.
+    Every call builds its own table, so a table lives only as long as the
+    complex, posets or sign assignment that read it.  ``max_grid`` gates
+    the build.  With ``top_half`` the table covers only the generators
+    with ``A >= TOP_HALF_FLOOR``, which the marking-free class ``"XO"``
+    alone never leaves.
     """
     _check_grid_size(g, max_grid)
     if top_half and cls != "XO":
         raise ValueError("only marking-free moves keep the Alexander grading")
-    return _cached_table(g, cls, top_half)
-
-
-@lru_cache(maxsize=8)
-def _cached_table(g: Grid, cls: str, top_half: bool) -> MoveTable:
     if top_half:
         return MoveTable(g, cls, top_generators(g, TOP_HALF_FLOOR))
     return MoveTable(g, cls)

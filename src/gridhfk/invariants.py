@@ -309,12 +309,15 @@ def check_invariance(g: Grid, moves, seed: int = 0, coefficients: str = "F2",
 
     ``moves`` is either an explicit sequence of move descriptors or an
     integer count, in which case that many legal moves are sampled with
-    the given seed.  The table after every move is compared against the
-    starting table; the report records the first divergence, which for a
-    correct pipeline never occurs.  A grid over ``max_grid``, at the start
-    or along an explicit move list, raises ResourceLimit before any table
-    is built.
+    the given seed; a negative or bool count raises ValueError.  The
+    table after every move is compared against the starting table; the
+    report records the first divergence, which for a correct pipeline
+    never occurs.  A grid over ``max_grid``, at the start or along an
+    explicit move list, raises ResourceLimit before any table is built.
     """
+    if isinstance(moves, int) and (isinstance(moves, bool) or moves < 0):
+        raise ValueError(
+            f"move count must be a non-negative int, got {moves!r}")
     _check_grid_size(g, max_grid)
     if isinstance(moves, int):
         rng = random.Random(seed)

@@ -161,11 +161,18 @@ def build_poset(g: Grid, a: int, mode: str = "hat",
     from the builder in ``complexes``, with hat as its d = 1 truncation.
     """
     d = _truncation(mode, truncation)
-    hat = mode == "hat"
     table = move_table(g, max_grid, _term_class(d))
+    return _grading_poset(table, a, mode, truncation, max_elements)
+
+
+def _grading_poset(table, a: int, mode: str, truncation: int | None,
+                   max_elements: int) -> GridPoset:
+    """The poset of grading ``a`` over ``table``, of the mode's class."""
+    d = _truncation(mode, truncation)
+    hat = mode == "hat"
     elements, gradings, rows = _differential(
         table, d, lambda x: table.rects, hat, None if hat else max_elements, a)
-    return _make_poset(g, mode, truncation, a, elements,
+    return _make_poset(table.grid, mode, truncation, a, elements,
                        [m for m, _ in gradings], rows)
 
 
@@ -451,9 +458,15 @@ def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
     check on closed intervals of length 2..5 (capped at
     ``max_intervals``, sampled deterministically from ``seed``).
     """
+    _check_coefficients(coefficients)
+    if max_intervals < 0:
+        raise ValueError(f"max_intervals must be >= 0, got {max_intervals}")
     rng = random.Random(seed)
-    posets = [build_poset(g, a, mode, truncation, max_grid)
-              for a in alexander_range(g, mode, truncation, max_grid)]
+    gradings = alexander_range(g, mode, truncation, max_grid)
+    table = move_table(g, max_grid, _term_class(_truncation(mode, truncation)))
+    posets = [_grading_poset(table, a, mode, truncation, DEFAULT_MAX_ELEMENTS)
+              for a in gradings]
+    del table
     posets = [p for p in posets if len(p)]
 
     per_grading = []

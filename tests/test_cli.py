@@ -311,6 +311,23 @@ def test_negative_moves_is_a_usage_error(capsys):
     assert err == "gridhfk: usage error: --moves must be >= 0, got -1\n"
 
 
+def test_max_grid_below_two_is_a_usage_error(capsys, monkeypatch):
+    """No grid is smaller than 2, so a lower ceiling is a bad option, not
+    a resource refusal."""
+    def refuse(*args):
+        raise AssertionError("a grid was loaded before --max-grid was checked")
+
+    monkeypatch.setattr("gridhfk.cli.load_grid", refuse)
+    for argv in (["homology", TREFOIL, "--max-grid", "-3"],
+                 ["genus", TREFOIL, "--max-grid", "1"],
+                 ["poset", "stats", TREFOIL, "--max-grid", "0"],
+                 ["check", "invariance", TREFOIL, "--max-grid", "1"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, ""), argv
+        assert err == (f"gridhfk: usage error: --max-grid must be >= 2, "
+                       f"got {argv[-1]}\n")
+
+
 def test_truncate_checked_before_any_work(capsys, monkeypatch):
     """A bad --truncate is refused before any sign is computed."""
     def refuse(*args):
@@ -511,12 +528,10 @@ def test_z_paths_neither_solve_signs_nor_build_the_full_table(
                  ["check", "invariance", TREFOIL, *z, "--moves", "2"],
                  ["poset", "stats", TREFOIL, *z],
                  ["poset", "stats", TREFOIL, *z, "--version", "minus"]):
-        complexes._cached_table.cache_clear()
         builds.clear()
         rc, _, err = run(capsys, argv)
         assert rc == 0, (argv, err)
         assert builds and "" not in builds, argv
-    complexes._cached_table.cache_clear()
     with pytest.raises(AssertionError, match="solve_signs ran"):
         main(["check", "signs", TREFOIL])
 

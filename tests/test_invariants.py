@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     COMPOSITE6,
@@ -13,6 +15,7 @@ from conftest import (
     TREFOIL5,
     TWIST52,
     UNKNOT2,
+    knot_grids,
 )
 from gridhfk.complexes import move_table
 from gridhfk.errors import AsymmetryDetected, InvalidHomology, ResourceLimit
@@ -274,6 +277,24 @@ def test_invariance_defaults_to_the_shared_grid_ceiling():
     assert check_invariance(GRANNY9, 0).ok
     assert ("stabilize", 0, "a") in legal_moves(KNOT8)
     assert ("stabilize", 0, "a") not in legal_moves(GRANNY9)
+
+
+@pytest.mark.parametrize("count", [-2, True, False])
+def test_invariance_refuses_a_negative_or_bool_move_count(count):
+    with pytest.raises(ValueError, match="move count"):
+        check_invariance(TREFOIL5, count)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(knot_grids(max_n=5), st.data())
+def test_legal_moves_apply_and_keep_the_hat_property(g, data):
+    """Every listed move applies, and a drawn one keeps the hat table."""
+    moves = legal_moves(g, 6)
+    grown = [apply_move(g, mv) for mv in moves]
+    assert all(h.n in (g.n - 1, g.n, g.n + 1) for h in grown)
+    h = data.draw(st.sampled_from(grown))
+    assert hat_homology(h).blocks == hat_homology(g).blocks
 
 
 def test_invariance_report_flags_divergence():

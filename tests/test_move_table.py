@@ -1,6 +1,8 @@
 """Move tables: each rectangle class against the definition and the full table."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -10,7 +12,8 @@ from conftest import FIG8, TORUS34, TREFOIL5, UNKNOT2
 from gridhfk.complexes import MoveTable, _check_address_space, move_table
 from gridhfk.errors import ResourceLimit
 from gridhfk.grid import random_knot_grid
-from gridhfk.poset import alexander_range, build_poset, components
+from gridhfk.invariants import check_invariance, hat_homology
+from gridhfk.poset import poset_stats
 from gridhfk.signs import solve_signs
 
 _rng = random.Random(41)
@@ -91,35 +94,64 @@ def test_unknown_class_refused():
         MoveTable(UNKNOT2, cls="O")
 
 
-def test_one_cache_entry_per_table():
+def test_move_table_checks_the_grid_ceiling():
+    """Each call builds its own table; ``max_grid`` only gates the build."""
     table = move_table(TREFOIL5)
-    assert move_table(TREFOIL5, 9) is table
-    assert move_table(TREFOIL5, max_grid=9) is table
-    assert move_table(TREFOIL5, 5) is table
-    assert move_table(TREFOIL5, cls="XO") is move_table(TREFOIL5, 9, "XO")
-    assert move_table(TREFOIL5, cls="XO") is not table
+    assert move_table(TREFOIL5, 5).moves == table.moves
     with pytest.raises(ResourceLimit, match="ceiling"):
         move_table(TREFOIL5, 4)
 
 
-def test_z_poset_components_reuse_the_sign_table(monkeypatch):
-    builds = []
+@pytest.fixture
+def built(monkeypatch):
+    """Weak references to the move tables built during the test, by class."""
+    out = []
 
-    class Counting(MoveTable):
-        def __init__(self, g, cls=""):
-            builds.append(cls)
-            super().__init__(g, cls)
+    class Tracked(MoveTable):
+        def __init__(self, g, cls="", gens=None):
+            super().__init__(g, cls, gens)
+            out.append((cls, weakref.ref(self)))
 
+    monkeypatch.setattr(complexes, "MoveTable", Tracked)
+    return out
+
+
+def test_tables_die_with_the_call_that_built_them(built):
+    """No table outlives the command that read it.
+
+    The CLI runs with the cycle collector off, so reference counting
+    alone must free them.
+    """
     g = random_knot_grid(4, random.Random(7))
-    monkeypatch.setattr(complexes, "MoveTable", Counting)
-    complexes._cached_table.cache_clear()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        signs = solve_signs(g)
-        for a in alexander_range(g):
-            components(build_poset(g, a), "Z", signs)
-        assert builds == ["", "XO"]
+        hat_homology(FIG8, "F2")
+        hat_homology(FIG8, "Z")
+        assert len(check_invariance(TREFOIL5, [("stabilize", 0, "a"),
+                                               ("commute", "row", 5)]).grids) == 3
+        poset_stats(TREFOIL5)
+        poset_stats(g, "minus", 2, coefficients="Z")
     finally:
-        complexes._cached_table.cache_clear()
+        if collecting:
+            gc.enable()
+    assert [cls for cls, _ in built] == ["XO"] * 6 + ["X"]
+    assert [cls for cls, ref in built if ref() is not None] == []
+
+
+def test_poset_stats_builds_one_table_of_its_class(built):
+    poset_stats(TORUS34)
+    assert [cls for cls, _ in built] == ["XO"]
+    built.clear()
+    poset_stats(TREFOIL5, "minus", 2, coefficients="Z")
+    assert [cls for cls, _ in built] == ["X"]
+
+
+def test_z_poset_stats_with_solved_signs_builds_two_tables(built):
+    """The solver's full table, and the posets' marking-free one."""
+    g = random_knot_grid(4, random.Random(7))
+    poset_stats(g, coefficients="Z", signs=solve_signs(g))
+    assert [cls for cls, _ in built] == ["", "XO"]
 
 
 def test_address_space_floor_per_class(monkeypatch):

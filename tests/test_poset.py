@@ -477,6 +477,17 @@ def test_poset_stats_summary():
     assert sizes[-3:] == [26, 26, 46]
 
 
+def test_poset_stats_checks_its_arguments_before_any_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a move table was built before the checks")
+
+    monkeypatch.setattr("gridhfk.poset.move_table", refuse)
+    with pytest.raises(ValueError, match="coefficients must be"):
+        poset_stats(TREFOIL5, coefficients="z")
+    with pytest.raises(ValueError, match="max_intervals must be >= 0"):
+        poset_stats(TREFOIL5, max_intervals=-1)
+
+
 def test_poset_stats_certifies_sampled_intervals(monkeypatch):
     """An interval with no positive domain behind it fails the run."""
     monkeypatch.setattr("gridhfk.poset.connecting_domain",

@@ -168,13 +168,16 @@ def test_dropped_move_raises_under_optimize():
     """
     script = (
         "import sys\n"
+        "import gridhfk.signs\n"
         "from gridhfk.complexes import move_table\n"
         "from gridhfk.errors import UnsatisfiableSigns\n"
         "from gridhfk.grid import Grid\n"
         "from gridhfk.signs import solve_signs\n"
         "assert False, 'asserts must be stripped here'\n"
         "g = Grid(5, (0, 1, 2, 3, 4), (2, 3, 4, 0, 1))\n"
-        "move_table(g).moves[7].pop()\n"
+        "table = move_table(g)\n"
+        "table.moves[7].pop()\n"
+        "gridhfk.signs.move_table = lambda *args: table\n"
         "try:\n"
         "    solve_signs(g)\n"
         "except UnsatisfiableSigns as exc:\n"

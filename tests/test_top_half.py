@@ -275,9 +275,7 @@ def builds(monkeypatch):
             out.append((cls, len(self.gens)))
 
     monkeypatch.setattr(complexes, "MoveTable", Counting)
-    complexes._cached_table.cache_clear()
-    yield out
-    complexes._cached_table.cache_clear()
+    return out
 
 
 def test_hat_path_builds_only_the_top_half_table(builds):
