@@ -41,6 +41,8 @@ COMMANDS = [
     "--coefficients z",
     "homology fixtures/fig8.grid --version minus --truncate 2 "
     "--coefficients z --json",
+    "homology fixtures/trefoil5.grid --version minus --truncate 3",
+    "homology fixtures/fig8.grid --version minus --truncate 2 --json",
     "alexander fixtures/granny.grid",
     "genus fixtures/torus34.grid",
     "fibered fixtures/torus34.grid",

@@ -3,8 +3,11 @@
 The differential preserves the Alexander grading and drops the Maslov
 grading by one, so the complex splits into independent columns indexed by
 A, each a chain of finite-dimensional pieces indexed by M.  Every column
-is eliminated on its own and the per-block results merge into one
-immutable table of ranks.
+is eliminated on its own, from the top Maslov grading down: a block
+skips the rows whose elements the block above took as unit-pivot
+columns, since the image of the differential from the kept rows is the
+whole image.  The per-block results merge into one immutable table of
+ranks.
 """
 
 from __future__ import annotations
@@ -87,22 +90,34 @@ class BigradedRanks:
 
 def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
                   pos_of: dict[int, int]):
-    """Eliminate one Alexander column.  Returns {(m): (free, torsion)}."""
+    """Eliminate one Alexander column.  Returns {(m): (free, torsion)}.
+
+    The blocks are walked from the top Maslov grading down.  Block m (rows
+    C_m, columns C_{m-1}) skips every row whose element was a unit-pivot
+    column of block m+1, and its own unit-pivot columns are then skipped
+    by block m-1.  The pivot rows of block m+1 lie in im d_{m+1} and are
+    unit-triangular on those columns, so each skipped element is a sum of
+    kept ones plus a boundary, which d_m kills: d_m has the same image from
+    the kept rows as from all of C_m, hence the same rank and torsion.
+    """
     diff = complex_.diff
     over_z = complex_.coefficients == "Z"
     rank_between: dict[int, int] = {}
     torsion_at: dict[int, tuple[int, ...]] = {}
-    for m, sources in by_m.items():
-        targets = by_m.get(m - 1)
-        if not targets:
+    cancelled: list[int] = []
+    for m in sorted(by_m, reverse=True):
+        skip = set(cancelled)
+        cancelled = []
+        if m - 1 not in by_m:
             continue
+        sources = [i for i in by_m[m] if pos_of[i] not in skip]
         if over_z:
             rows = []
             for i in sources:
                 row = {pos_of[j]: c for j, c in diff[i] if c}
                 if row:
                     rows.append(row)
-            factors = invariant_factors(rows)
+            factors = invariant_factors(rows, cancelled)
             rank_between[m] = len(factors)
             tors = tuple(sorted(d for d in factors if d > 1))
             if tors:
@@ -116,7 +131,7 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
                         mask |= 1 << pos_of[j]
                 if mask:
                     masks.append(mask)
-            rank_between[m] = f2_rank(masks)
+            rank_between[m] = f2_rank(masks, cancelled)
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for m, indices in by_m.items():
         free = len(indices) - rank_between.get(m, 0) - rank_between.get(m + 1, 0)
@@ -129,10 +144,16 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
 def homology(complex_: ChainComplex) -> BigradedRanks:
     """Rank (and over Z, torsion) of homology at every bigrading."""
     gradings = complex_.gradings
+    basis = range(len(complex_.labels))
     for i, row in enumerate(complex_.diff):
         mi, ai = gradings[i]
+        block = (mi - 1, ai)
         for j, c in row:
-            if c and gradings[j] != (mi - 1, ai):
+            if j not in basis:
+                raise InvalidDifferential(
+                    f"differential term {i} -> {j} leaves the basis "
+                    f"0..{len(basis) - 1}")
+            if c and gradings[j] != block:
                 raise InvalidDifferential(
                     f"differential term {i} -> {j} leaves the (M-1, A) block")
     if complex_.d_squared():

@@ -15,6 +15,10 @@ back at the new cost.  A pivot thus costs the rows it touches plus a few
 heap operations, not a scan of the matrix.  Row operations with unit
 pivots are unimodular, so the pivot order cannot change the invariant
 factors.
+
+Both ``f2_rank`` and ``invariant_factors`` can hand back the columns of
+their unit pivots; ``homology`` uses them to drop rows from the next
+block.
 """
 
 from __future__ import annotations
@@ -23,8 +27,13 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 
-def f2_rank(rows: Iterable[int]) -> int:
-    """Rank over F2 of the matrix whose rows are the given bitmasks."""
+def f2_rank(rows: Iterable[int], pivot_cols: list[int] | None = None) -> int:
+    """Rank over F2 of the matrix whose rows are the given bitmasks.
+
+    ``pivot_cols``, if given, gains the leading bit of every pivot row.
+    The pivot rows are sums of the given rows with distinct leading bits,
+    so they are unit-triangular on those columns.
+    """
     pivots: dict[int, int] = {}
     rank = 0
     for row in rows:
@@ -35,11 +44,13 @@ def f2_rank(rows: Iterable[int]) -> int:
                 rank += 1
                 break
             row ^= pivots[p]
+    if pivot_cols is not None:
+        pivot_cols.extend(pivots)
     return rank
 
 
-def _strip_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
-    """Eliminate with +-1 pivots in place; returns the number eliminated.
+def _strip_unit_pivots(rows: dict[int, dict[int, int]]) -> list[int]:
+    """Eliminate with +-1 pivots in place; returns their columns in order.
 
     Pivots are chosen to minimize fill (Markowitz count, (row length - 1)
     * (column length - 1)), which keeps the intermediate entries small on
@@ -72,7 +83,7 @@ def _strip_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
 
     heap = [entry for entry in map(cheapest, rows) if entry]
     heapify(heap)
-    eliminated = 0
+    eliminated = []
     while heap:
         cost, r0, _ = heappop(heap)
         if r0 not in rows:
@@ -109,7 +120,7 @@ def _strip_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
                 entry = cheapest(r)
                 if entry:
                     heappush(heap, entry)
-        eliminated += 1
+        eliminated.append(c0)
     return eliminated
 
 
@@ -227,16 +238,26 @@ def _dense_invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def invariant_factors(rows: Iterable[dict[int, int]]) -> list[int]:
+def invariant_factors(rows: Iterable[dict[int, int]],
+                      pivot_cols: list[int] | None = None) -> list[int]:
     """Nonzero invariant factors of a sparse integer matrix.
 
     ``rows`` holds one dict per row mapping column index to a nonzero
     entry.  The number of factors is the rank; the factors greater than 1
     are the torsion coefficients of the cokernel.
+
+    ``pivot_cols``, if given, gains the column of every +-1 pivot the
+    sparse stage took, in pivot order.  Each pivot row is an integer
+    combination of the given rows with a +-1 at its column and 0 at the
+    columns of the pivots before it.  The pivots of the dense Smith core
+    are never reported: they need not be units, and its column operations
+    mix the columns.
     """
     work = {i: dict(row) for i, row in enumerate(rows) if row}
-    rank = _strip_unit_pivots(work)
-    factors = [1] * rank
+    units = _strip_unit_pivots(work)
+    if pivot_cols is not None:
+        pivot_cols.extend(units)
+    factors = [1] * len(units)
     if work:
         live_cols = sorted({c for row in work.values() for c in row})
         col_pos = {c: k for k, c in enumerate(live_cols)}

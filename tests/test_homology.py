@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TREFOIL5
+from conftest import FIG8, TREFOIL5
 from gridhfk.complexes import (
     ChainComplex,
     build_minus_complex,
@@ -137,7 +137,11 @@ def test_unit_free_core_stays_small():
 
 
 def _z_blocks(cx):
-    """The boundary blocks (m, a) -> (m - 1, a) of a complex, as sparse rows."""
+    """The boundary blocks (m, a) -> (m - 1, a) of a complex, as sparse rows.
+
+    Yields ``((m, a), rows, len(C_{m-1, a}))``, one row per element of
+    C_{m, a} in basis order.
+    """
     by_ma: dict[tuple[int, int], list[int]] = {}
     for i, ma in enumerate(cx.gradings):
         by_ma.setdefault(ma, []).append(i)
@@ -146,12 +150,13 @@ def _z_blocks(cx):
         targets = by_ma.get((m - 1, a))
         if targets:
             rows = [{pos[j]: c for j, c in cx.diff[i]} for i in sources]
-            yield rows, len(targets)
+            yield (m, a), rows, len(targets)
 
 
 def test_invariant_factors_match_dense_smith_form_on_real_blocks():
     cx = build_minus_complex(TREFOIL5, 2, "Z")
-    small = [(rows, n) for rows, n in _z_blocks(cx) if len(rows) * n <= 2500]
+    small = [(rows, n) for _, rows, n in _z_blocks(cx)
+             if len(rows) * n <= 2500]
     assert len(small) >= 15
     for rows, n in small:
         assert invariant_factors(rows) == _snf_factors(rows, n)
@@ -206,6 +211,158 @@ def test_smith_normal_form_oracle():
                 assert x >= 0
                 if y:
                     assert x != 0 and y % x == 0
+
+
+def _full_block_homology(cx):
+    """Homology from every block eliminated in full, with no rows skipped:
+    free rank |C_m| - r_m - r_{m+1}, torsion from the factors of block m."""
+    dims: dict[tuple[int, int], int] = {}
+    for ma in cx.gradings:
+        dims[ma] = dims.get(ma, 0) + 1
+    rank: dict[tuple[int, int], int] = {}
+    torsion: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (m, a), rows, _ in _z_blocks(cx):
+        if cx.coefficients == "Z":
+            factors = invariant_factors(rows)
+            rank[(m, a)] = len(factors)
+            tors = tuple(sorted(d for d in factors if d > 1))
+            if tors:
+                torsion[(m - 1, a)] = tors
+        else:
+            rank[(m, a)] = f2_rank([sum(1 << c for c, v in row.items()
+                                        if v & 1) for row in rows])
+    blocks = {}
+    for (m, a), dim in dims.items():
+        free = dim - rank.get((m, a), 0) - rank.get((m + 1, a), 0)
+        tors = torsion.get((m, a), ())
+        if free or tors:
+            blocks[(m, a)] = (free, tors)
+    return blocks
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_minus_complex(TREFOIL5, 2, "Z"),
+    lambda: build_minus_complex(TREFOIL5, 3, "Z"),
+    lambda: build_tilde_complex(FIG8, "Z"),
+    lambda: build_minus_complex(TREFOIL5, 3, "F2"),
+], ids=["trefoil5-minus-d2-z", "trefoil5-minus-d3-z", "fig8-tilde-z",
+        "trefoil5-minus-d3-f2"])
+def test_homology_matches_full_block_oracle(build):
+    """Skipping the rows the block above cancelled changes no group."""
+    cx = build()
+    assert homology(cx).blocks == _full_block_homology(cx)
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``gridhfk.homology.<name>`` to count the rows it is handed.
+
+    ``gridhfk.homology`` as an attribute is the function, so the module is
+    taken from ``sys.modules``.
+    """
+    module = sys.modules["gridhfk.homology"]
+    inner = getattr(module, name)
+    seen = []
+
+    def counted(rows, *args):
+        rows = list(rows)
+        seen.append(len(rows))
+        return inner(rows, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_blocks_skip_rows_cancelled_by_the_block_above(monkeypatch):
+    """Each Maslov block hands elimination only the rows that the block
+    above did not take as unit-pivot columns: at most 2,000 rows over Z
+    at d = 2 and 15,000 over F2 at d = 3, of 3,537 and 28,046 in full."""
+    z_rows = _counting(monkeypatch, "invariant_factors")
+    f2_rows = _counting(monkeypatch, "f2_rank")
+    homology(build_minus_complex(TREFOIL5, 2, "Z"))
+    assert z_rows and not f2_rows
+    assert sum(z_rows) <= 2000
+    homology(build_minus_complex(TREFOIL5, 3, "F2"))
+    assert f2_rows
+    assert sum(f2_rows) <= 15000
+
+
+def _invariant_form(orders):
+    """Invariant factors (> 1) of the direct sum of cyclic groups Z/k."""
+    a = sorted(orders)
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            g = gcd(a[i], a[j])
+            a[i], a[j] = g, a[i] * a[j] // g
+    return tuple(sorted(d for d in a if d > 1))
+
+
+def _random_torsion_complex(rng):
+    """A seeded Z complex with known homology.
+
+    A direct sum of pieces x -> k y (k in +-1, 2, 3, 4, 6) and free
+    elements over 2-5 Maslov gradings and two Alexander gradings, then
+    conjugated in each bigrading by elementary row and column operations
+    with multipliers +-1 and +-2, and the basis shuffled.  Returns the
+    complex and its expected blocks.
+    """
+    n_m = rng.randint(2, 5)
+    gradings: list[tuple[int, int]] = []
+    pieces = []  # (x, y, k): d x = k y
+    free: dict[tuple[int, int], int] = {}
+    torsion: dict[tuple[int, int], list[int]] = {}
+    for _ in range(rng.randint(1, 12)):
+        a = rng.randint(0, 1)
+        if rng.random() < 0.3:
+            ma = (rng.randrange(n_m), a)
+            gradings.append(ma)
+            free[ma] = free.get(ma, 0) + 1
+        else:
+            m = rng.randint(1, n_m - 1)
+            k = rng.choice((1, -1, 2, 3, 4, 6))
+            pieces.append((len(gradings), len(gradings) + 1, k))
+            gradings += [(m, a), (m - 1, a)]
+            if abs(k) > 1:
+                torsion.setdefault((m - 1, a), []).append(abs(k))
+    n = len(gradings)
+    matrix = [[0] * n for _ in range(n)]  # matrix[i][j]: coefficient of j in d i
+    for x, y, k in pieces:
+        matrix[x][y] = k
+    by_ma: dict[tuple[int, int], list[int]] = {}
+    for i, ma in enumerate(gradings):
+        by_ma.setdefault(ma, []).append(i)
+    for members in by_ma.values():
+        if len(members) < 2:
+            continue
+        for _ in range(rng.randint(1, 3 * len(members))):
+            p, q = rng.sample(members, 2)
+            c = rng.choice((1, -1, 2, -2))
+            # New basis element p + c q: row p += c row q, column q -= c
+            # column p, so the differential is conjugated, not changed.
+            matrix[p] = [x + c * y for x, y in zip(matrix[p], matrix[q])]
+            for row in matrix:
+                row[q] -= c * row[p]
+    order = rng.sample(range(n), n)
+    where = {old: new for new, old in enumerate(order)}
+    gradings = [gradings[old] for old in order]
+    diff = [[(where[j], c) for j, c in enumerate(matrix[old]) if c]
+            for old in order]
+    expected = {}
+    for ma in set(free) | set(torsion):
+        expected[ma] = (free.get(ma, 0), _invariant_form(torsion.get(ma, ())))
+    cx = ChainComplex("Z", "tilde", UNKNOT2, None, list(range(n)), gradings,
+                      diff)
+    return cx, expected
+
+
+def test_random_complexes_with_known_torsion():
+    """Torsion survives the cancellation across blocks, in invariant-factor
+    form: pieces 2 and 3 at one grading give (6,), not (2, 3)."""
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        cx, expected = _random_torsion_complex(rng)
+        assert homology(cx).blocks == expected, (cx.gradings, cx.diff)
+    assert _invariant_form([2, 3]) == (6,)
+    assert _invariant_form([2, 4, 6]) == (2, 2, 12)
 
 
 def test_unknot_tilde_homology():
@@ -322,6 +479,14 @@ CORRUPTED = {
                               [(2, 0), (1, 0), (0, 0)],
                               [[(1, 1)], [(2, 1)], []]),
 }
+
+
+@pytest.mark.parametrize("target", [2, -1])
+def test_differential_target_outside_the_basis_raises(target):
+    cx = ChainComplex("Z", "tilde", UNKNOT2, None, ["x", "y"],
+                      [(1, 0), (0, 0)], [[(target, 1)], []])
+    with pytest.raises(InvalidDifferential, match=f"0 -> {target} "):
+        homology(cx)
 
 
 def test_d_squared_lists_each_nonzero_entry():
