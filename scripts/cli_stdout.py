@@ -51,6 +51,8 @@ COMMANDS = [
     "poset stats fixtures/trefoil5.grid --version minus --truncate 2 "
     "--coefficients z",
     "poset stats fixtures/fig8.grid --coefficients z",
+    "poset stats fixtures/trefoil5.grid --version minus --truncate 3",
+    "poset stats fixtures/torus34.grid --version minus",
     "check invariance fixtures/trefoil5.grid --moves 3 --seed 7",
     "check invariance fixtures/trefoil5.grid --moves 3 --seed 7 "
     "--coefficients z",

@@ -509,19 +509,19 @@ def _term_class(d: int) -> str:
 
 
 def _differential(table: MoveTable, d: int, entry, bare: bool,
-                  max_elements: int | None,
-                  alexander_grading: int | None = None):
+                  max_elements: int | None):
     """Labels, bigradings and rows of the differential truncated at ``d``.
 
     The basis is each generator x of ``table`` times U^k, k in
-    {0..d-1}^n, labelled ``(x, k)``, or ``x`` alone when ``bare``; with
-    ``alexander_grading`` set, only the elements of that grading, which
-    the differential preserves.  The terms come from the rectangles
+    {0..d-1}^n, labelled ``(x, k)``, or ``x`` alone when ``bare``, in
+    one walk of the generators.  The terms come from the rectangles
     meeting no X; a term is dropped when an exponent it bumps would reach
     ``d``, so at d = 1 only the rectangles meeting no marking remain, and
     ``table`` is the class ``_term_class(d)``.  ``entry(x)`` is asked once
     per generator for a row indexed by rectangle id, and row ``i`` lists
-    ``(j, entry(x)[rect_id])`` for each term from element i to j.
+    ``(j, entry(x)[rect_id])`` for each term from element i to j.  The
+    differential keeps A, so a caller that wants one Alexander grading
+    restricts this basis to it.
     """
     g, gens, moves, rects = table.grid, table.gens, table.moves, table.rects
     n = g.n
@@ -533,38 +533,28 @@ def _differential(table: MoveTable, d: int, entry, bare: bool,
     exps = list(itertools.product(range(d), repeat=n))
     step = [d ** (n - 1 - r) for r in range(n)]  # basis shift of a U_r bump
     labels, gradings = [], []
-    index = None if alexander_grading is None else {}
-    for i, x in enumerate(gens):
-        a, m = alexander(g, x), None
-        for e, k in enumerate(exps):
+    for x in gens:
+        a, m = alexander(g, x), maslov(g, x)
+        for k in exps:
             t = sum(k)
-            if index is not None:
-                if a - t != alexander_grading:
-                    continue
-                index[i * size + e] = len(index)
-            if m is None:
-                m = maslov(g, x)
             labels.append(x if bare else (x, k))
             gradings.append((m - 2 * t, a - t))
 
     rows = []
-    last = None
-    for b in (range(len(gens) * size) if index is None else index):
-        i, e = divmod(b, size)
-        if i != last:
-            last, coeff = i, entry(gens[i])
-        k = exps[e]
-        row = []
-        for rid, j in moves[i]:
-            if size > 1:  # at d = 1 the target is the move's own int
-                j = j * size + e
-            for r in rects[rid].o_rows:
-                if k[r] == d - 1:
-                    break
-                j += step[r]
-            else:
-                row.append((j if index is None else index[j], coeff[rid]))
-        rows.append(row)
+    for i, x in enumerate(gens):
+        coeff = entry(x)
+        for e, k in enumerate(exps):
+            row = []
+            for rid, j in moves[i]:
+                if size > 1:  # at d = 1 the target is the move's own int
+                    j = j * size + e
+                for r in rects[rid].o_rows:
+                    if k[r] == d - 1:
+                        break
+                    j += step[r]
+                else:
+                    row.append((j, coeff[rid]))
+            rows.append(row)
     return labels, gradings, rows
 
 

@@ -145,6 +145,10 @@ def homology(complex_: ChainComplex) -> BigradedRanks:
     """Rank (and over Z, torsion) of homology at every bigrading."""
     gradings = complex_.gradings
     basis = range(len(complex_.labels))
+    if not len(complex_.diff) == len(gradings) == len(basis):
+        raise InvalidDifferential(
+            f"complex has {len(basis)} labels, {len(gradings)} gradings and "
+            f"{len(complex_.diff)} differential rows")
     for i, row in enumerate(complex_.diff):
         mi, ai = gradings[i]
         block = (mi - 1, ai)

@@ -6,12 +6,14 @@ multiplicities.  Covering relations are realized by empty rectangles and
 coincide with the boundary matrix of the corresponding chain complex,
 and the order is their reflexive-transitive closure: that is how it is
 computed, once per poset, as one bitset of lower elements per element.
-``connecting_domain`` stays the definition; here it only certifies the
-sampled intervals of ``poset_stats``.  On top of the order this module
-provides interval extraction, the graded boundary maps of the spectral
-tower, connected components with their homology, and the
-edge-lexicographic labeling used to certify shellability of closed
-intervals.
+The posets of all gradings come from one pass of the complex builder.
+``poset_stats`` reads each open interval's parity from those bitsets;
+on the pairs it samples, ``connecting_domain`` (the definition) and
+``interval`` (the sub-poset itself) certify the order and the count.
+On top of the order this module provides interval extraction, the
+graded boundary maps of the spectral tower, connected components with
+their homology, and the edge-lexicographic labeling used to certify
+shellability of closed intervals.
 """
 
 from __future__ import annotations
@@ -116,20 +118,28 @@ class GridPoset:
 
 
 def _make_poset(g: Grid, mode: str, truncation: int | None, a: int,
-                elements, maslov, covers) -> GridPoset:
-    """A poset with its order closed over the cover rows.
+                elements, maslov, covers, members) -> GridPoset:
+    """The poset on ``members``, with its order closed over the cover rows.
 
-    A cover lowers the grading, so merging the rows in grading order,
-    each lower down-set is complete when it is merged into the upper one.
+    ``members`` are ascending indices into ``elements``, ``maslov`` and
+    ``covers``; each member keeps the part of its cover row that lands
+    on members, renumbered to their positions.  A cover lowers the
+    grading, so merging the rows in grading order, each lower down-set
+    is complete when it is merged into the upper one.
     """
-    below = [1 << i for i in range(len(elements))]
-    for upper in sorted(range(len(elements)), key=maslov.__getitem__):
-        for lower, _ in covers[upper]:
+    local = {z: i for i, z in enumerate(members)}
+    rows = tuple(tuple((local[l], rect) for l, rect in covers[z] if l in local)
+                 for z in members)
+    grading = tuple(maslov[z] for z in members)
+    below = [1 << i for i in range(len(members))]
+    for upper in sorted(range(len(members)), key=grading.__getitem__):
+        for lower, _ in rows[upper]:
             below[upper] |= below[lower]
+    kept = tuple(elements[z] for z in members)
     return GridPoset(grid=g, mode=mode, truncation=truncation, alexander=a,
-                     elements=tuple(elements), maslov=tuple(maslov),
-                     covers=tuple(map(tuple, covers)), below=tuple(below),
-                     index={e: i for i, e in enumerate(elements)})
+                     elements=kept, maslov=grading, covers=rows,
+                     below=tuple(below),
+                     index={e: i for i, e in enumerate(kept)})
 
 
 def _bits(mask: int):
@@ -160,20 +170,29 @@ def build_poset(g: Grid, a: int, mode: str = "hat",
     Elements, gradings and covers are that grading's part of the complex
     from the builder in ``complexes``, with hat as its d = 1 truncation.
     """
+    return _posets(g, mode, truncation, (a,), max_grid, max_elements)[0]
+
+
+def _posets(g: Grid, mode: str, truncation: int | None, gradings,
+            max_grid: int, max_elements: int) -> list[GridPoset]:
+    """Posets of the Alexander gradings ``gradings``, from one builder pass.
+
+    The builder walks the whole basis once; the differential keeps A, so
+    each grading's elements carry their whole cover rows.
+    """
     d = _truncation(mode, truncation)
     table = move_table(g, max_grid, _term_class(d))
-    return _grading_poset(table, a, mode, truncation, max_elements)
-
-
-def _grading_poset(table, a: int, mode: str, truncation: int | None,
-                   max_elements: int) -> GridPoset:
-    """The poset of grading ``a`` over ``table``, of the mode's class."""
-    d = _truncation(mode, truncation)
     hat = mode == "hat"
-    elements, gradings, rows = _differential(
-        table, d, lambda x: table.rects, hat, None if hat else max_elements, a)
-    return _make_poset(table.grid, mode, truncation, a, elements,
-                       [m for m, _ in gradings], rows)
+    elements, bigradings, rows = _differential(
+        table, d, lambda x: table.rects, hat, None if hat else max_elements)
+    del table
+    members = {a: [] for a in gradings}
+    for i, (_, a) in enumerate(bigradings):
+        if a in members:
+            members[a].append(i)
+    maslov = [m for m, _ in bigradings]
+    return [_make_poset(g, mode, truncation, a, elements, maslov, rows,
+                        members[a]) for a in gradings]
 
 
 def alexander_range(g: Grid, mode: str = "hat", truncation: int | None = None,
@@ -253,9 +272,10 @@ def components(p: GridPoset, coefficients: str = "F2",
 def interval(p: GridPoset, y, x, shape: str = "closed") -> GridPoset:
     """Induced sub-poset on [y,x], (y,x] or (y,x).
 
-    Its cover rows are its members' rows, kept to the members, so the
-    cost grows with the interval.  Raises EmptyInterval when y is not
-    below x.
+    Its members are the elements between y and x in the order's
+    bitsets, and ``_make_poset`` keeps their cover rows to the members,
+    so the cost grows with the interval.  Raises EmptyInterval when y is
+    not below x.
     """
     if shape not in ("closed", "open", "half"):
         raise ValueError(f"shape must be closed, open or half, got {shape!r}")
@@ -265,12 +285,8 @@ def interval(p: GridPoset, y, x, shape: str = "closed") -> GridPoset:
     dropped = {"closed": (), "half": (yi,), "open": (yi, xi)}[shape]
     members = [z for z in _bits(p.below[xi])
                if p.below[z] >> yi & 1 and z not in dropped]
-    local = {z: i for i, z in enumerate(members)}
-    covers = [[(local[l], rect) for l, rect in p.covers[u] if l in local]
-              for u in members]
     return _make_poset(p.grid, p.mode, p.truncation, p.alexander,
-                       [p.elements[z] for z in members],
-                       [p.maslov[z] for z in members], covers)
+                       p.elements, p.maslov, p.covers, members)
 
 
 def maximal_chains(p: GridPoset, y, x):
@@ -434,17 +450,27 @@ def el_increasing_chain_check(p: GridPoset, y, x, ref_col: int | None = None,
 # ------------------------------------------------------------------- stats
 
 def _certify(p: GridPoset, yi: int, xi: int) -> None:
-    """Check y <= x from the definition: a positive connecting domain.
+    """Check a sampled pair y < x against the definition and ``interval``.
 
-    Raises InvalidDifferential when the closure of the covers relates a
-    pair that no positive domain joins.
+    y <= x needs a positive connecting domain.  The open interval (y, x)
+    that ``interval`` builds must hold as many elements as the count
+    that ``poset_stats`` reads its parity from: ``below[x]`` meets y's
+    up-set, less x and y.  Raises InvalidDifferential when either fails.
     """
-    (gx, fx), (gy, fy) = p._split(p.elements[xi]), p._split(p.elements[yi])
+    y, x = p.elements[yi], p.elements[xi]
+    (gx, fx), (gy, fy) = p._split(x), p._split(y)
     dom = connecting_domain(p.grid, gx, gy, "zero_XO", tuple(map(sub, fy, fx)))
     if dom is None or not dom.is_positive():
         raise InvalidDifferential(
-            f"covers relate {p.elements[yi]} below {p.elements[xi]} in "
-            f"Alexander grading {p.alexander}, but no positive domain joins them")
+            f"covers relate {y} below {x} in Alexander grading "
+            f"{p.alexander}, but no positive domain joins them")
+    counted = sum(p.below[z] >> yi & 1 for z in _bits(p.below[xi])) - 2
+    built = len(interval(p, y, x, "open"))
+    if built != counted:
+        raise InvalidDifferential(
+            f"the open interval ({y}, {x}) in Alexander grading "
+            f"{p.alexander} holds {built} elements, but the order's "
+            f"bitsets count {counted}")
 
 
 def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
@@ -456,18 +482,19 @@ def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
     Collects component sizes and ranks, the open-interval parity check,
     the tower identities up to ``tower_k``, and the increasing-chain
     check on closed intervals of length 2..5 (capped at
-    ``max_intervals``, sampled deterministically from ``seed``).
+    ``max_intervals``, sampled deterministically from ``seed``).  The
+    posets come from one pass of the builder.  Each open interval (y, x)
+    is counted from the order's bitsets, ``below[x] & up[y]`` less x and
+    y, with ``up`` the transpose of ``below``; ``_certify`` checks that
+    count against ``interval`` on the sampled pairs.
     """
     _check_coefficients(coefficients)
     if max_intervals < 0:
         raise ValueError(f"max_intervals must be >= 0, got {max_intervals}")
     rng = random.Random(seed)
     gradings = alexander_range(g, mode, truncation, max_grid)
-    table = move_table(g, max_grid, _term_class(_truncation(mode, truncation)))
-    posets = [_grading_poset(table, a, mode, truncation, DEFAULT_MAX_ELEMENTS)
-              for a in gradings]
-    del table
-    posets = [p for p in posets if len(p)]
+    posets = [p for p in _posets(g, mode, truncation, gradings, max_grid,
+                                 DEFAULT_MAX_ELEMENTS) if len(p)]
 
     per_grading = []
     total_components = 0
@@ -489,14 +516,16 @@ def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
     odd_intervals = 0
     candidates = []
     for p in posets:
-        for xi, x in enumerate(p.elements):
-            for yi in _bits(p.below[xi] ^ 1 << xi):
+        up = [0] * len(p)
+        for xi, mask in enumerate(p.below):
+            for yi in _bits(mask):
+                up[yi] |= 1 << xi
+        for xi, mask in enumerate(p.below):
+            for yi in _bits(mask ^ 1 << xi):
                 pairs += 1
-                length = p.maslov[xi] - p.maslov[yi]
-                inner = interval(p, p.elements[yi], x, "open")
-                if len(inner) % 2:
-                    odd_intervals += 1
-                if 2 <= length <= 5:
+                # (y, x) has (mask & up[yi]).bit_count() - 2 elements
+                odd_intervals += (mask & up[yi]).bit_count() & 1
+                if 2 <= p.maslov[xi] - p.maslov[yi] <= 5:
                     candidates.append((p, yi, xi))
 
     tower_ok = all(not any(tower_sum(p, k))

@@ -99,6 +99,9 @@ def move_sign(x: Generator, b: int, t: int) -> int:
     passes keep their order in x; while x[hi] sinks back to row lo, so do
     those other than x[hi] and the one it passes, except that x[lo] now
     sits above the rows between: each pair it forms with them flips.
+    When x[lo] > x[hi], each of the K values between that exceed x[hi]
+    would add the K - 1 others: K(K - 1) in all, which is even, so it is
+    left out.
     """
     n = len(x)
     inv, above = _inversions(x)
@@ -116,8 +119,6 @@ def move_sign(x: Generator, b: int, t: int) -> int:
             e += above[m] + (inv[big] >> (m + 1)).bit_count()
         if low > c < high:
             e += sum(d > c for d in between)
-        elif low > high < c:
-            e += sum(d > high for d in between) - 1
     m, big = (low, high) if low < high else (high, low)
     e += above[m] + (inv[big] >> (m + 1)).bit_count()
     return -1 if e & 1 else 1

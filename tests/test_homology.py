@@ -489,6 +489,20 @@ def test_differential_target_outside_the_basis_raises(target):
         homology(cx)
 
 
+@pytest.mark.parametrize("gradings, diff", [
+    ([(1, 0), (0, 0)], [[(1, 1)]]),
+    ([(1, 0)], [[(1, 1)], []]),
+    ([(1, 0), (0, 0), (0, 0)], [[(1, 1)], []]),
+], ids=["short_diff", "short_gradings", "long_gradings"])
+def test_lengths_that_differ_from_the_labels_raise(gradings, diff):
+    """Two labels x -> y: a row or grading too few or too many is named."""
+    cx = ChainComplex("Z", "tilde", UNKNOT2, None, ["x", "y"], gradings, diff)
+    with pytest.raises(InvalidDifferential,
+                       match=f"2 labels, {len(gradings)} gradings and "
+                             f"{len(diff)} differential rows"):
+        homology(cx)
+
+
 def test_d_squared_lists_each_nonzero_entry():
     """Paths x -> y -> z and x -> w -> z: Z keeps their sum, F2 cancels it."""
     diff = [[(1, 1), (2, 1)], [(3, 1)], [(3, 1)], [(4, 2)], []]

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from conftest import FIG8, TREFOIL5, UNKNOT2
+from conftest import FIG8, TORUS34, TREFOIL5, UNKNOT2
 from gridhfk.complexes import (
     build_minus_complex,
     build_tilde_complex,
     connecting_domain,
 )
 from gridhfk.errors import EmptyInterval, InvalidDifferential, ResourceLimit
+from gridhfk.gradings import alexander
 from gridhfk.grid import Grid, random_knot_grid
 from gridhfk.homology import homology
 from gridhfk.poset import (
@@ -494,6 +495,42 @@ def test_poset_stats_certifies_sampled_intervals(monkeypatch):
                         lambda *args: None)
     with pytest.raises(InvalidDifferential):
         poset_stats(TREFOIL5)
+
+
+@pytest.mark.parametrize("g, mode, truncation, pairs", [
+    (TREFOIL5, "minus", 2, 30540),
+    (TORUS34, "hat", None, 29225),
+], ids=["trefoil5-minus-d2", "torus34-hat"])
+def test_poset_stats_parity_matches_interval_recount(g, mode, truncation,
+                                                      pairs):
+    """The bitset parity against one open sub-poset per related pair."""
+    odd = 0
+    for p in all_posets(g, mode, truncation):
+        for xi, x in enumerate(p.elements):
+            for yi in range(len(p)):
+                if yi != xi and p.below[xi] >> yi & 1:
+                    odd += len(interval(p, p.elements[yi], x, "open")) % 2
+    assert poset_stats(g, mode, truncation)["parity"] == {
+        "pairs": pairs, "odd_open_intervals": odd, "all_even": odd == 0}
+
+
+def test_poset_stats_certifies_interval_sizes(monkeypatch):
+    """An open interval one element larger than the bitsets count fails."""
+    monkeypatch.setattr(
+        "gridhfk.poset.interval",
+        lambda p, y, x, shape="closed":
+            interval(p, y, x, "half" if shape == "open" else shape))
+    with pytest.raises(InvalidDifferential, match="bitsets count"):
+        poset_stats(TREFOIL5)
+
+
+def test_poset_stats_walks_the_basis_once(monkeypatch):
+    """One Alexander grading per generator, not one per generator and A."""
+    calls = []
+    monkeypatch.setattr("gridhfk.complexes.alexander",
+                        lambda g, x: calls.append(x) or alexander(g, x))
+    poset_stats(TORUS34)
+    assert len(calls) == 5040
 
 
 def test_poset_stats_minus_pinned():
