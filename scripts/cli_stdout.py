@@ -11,6 +11,12 @@ shows whether a change moved any table, report or exit code:
     python3 scripts/cli_stdout.py > after.txt    # in the new one
     diff before.txt after.txt
 
+``cli_stdout.expected`` next to this script holds the output of the
+last accepted tree; a change that moves no output reproduces it byte
+for byte:
+
+    python3 scripts/cli_stdout.py | diff - scripts/cli_stdout.expected
+
 Stderr is not hashed; timing-free output is the contract only on stdout.
 """
 
@@ -53,6 +59,7 @@ COMMANDS = [
     "poset stats fixtures/fig8.grid --coefficients z",
     "poset stats fixtures/trefoil5.grid --version minus --truncate 3",
     "poset stats fixtures/torus34.grid --version minus",
+    "poset stats fixtures/fig8.grid --version minus --truncate 2",
     "check invariance fixtures/trefoil5.grid --moves 3 --seed 7",
     "check invariance fixtures/trefoil5.grid --moves 3 --seed 7 "
     "--coefficients z",

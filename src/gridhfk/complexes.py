@@ -353,11 +353,13 @@ def connecting_domain(g: Grid, x: Generator, y: Generator, mode: str = "any",
     """A domain from ``x`` to ``y``.
 
     mode 'any': a staircase of rectangles, always defined.
-    mode 'zero_XO': the unique domain with multiplicity 0 at every X and,
-    unless ``o_counts`` prescribes other O multiplicities, at every O;
-    returns None when no such domain exists.  Uniqueness holds for knots:
-    the marking incidences tie all row and column annuli together, so the
-    correction by annuli is forced.
+    mode 'zero_XO': the domain with multiplicity 0 at every X and, unless
+    ``o_counts`` prescribes other O multiplicities, at every O; returns
+    None when no such domain exists.  The staircase is corrected by row
+    and column annuli, whose shifts come from one walk around each cycle
+    that the markings chain the rows and columns into.  A knot has one
+    cycle, so the correction is forced and the domain unique; on a link
+    each cycle's first row keeps shift 0.
     """
     n = g.n
     base = _staircase_coeffs(g, x, y)
@@ -369,40 +371,26 @@ def connecting_domain(g: Grid, x: Generator, y: Generator, mode: str = "any",
         o_counts = (0,) * n
 
     # Solve base[r][c] + row_shift[r] + col_shift[c] = target at all 2n
-    # markings by propagating over the marking incidence graph.
+    # markings.  Every row and every column holds one X and one O, so the
+    # markings chain rows and columns into cycles: the X of row r sits in
+    # column x_cols[r], whose O sits in row o_rows[c].  Walk each cycle
+    # from its first row with shift 0, each marking fixing the next shift;
+    # the walk closes on that row, which must get back the shift it has.
+    x_cols, o_rows = g.x_cols, g.o_rows
     row_shift: list[int | None] = [None] * n
-    col_shift: list[int | None] = [None] * n
-    edges = [[] for _ in range(n)]  # row -> [(col, required sum)]
-    for r in range(n):
-        edges[r].append((g.x_cols[r], -base[r][g.x_cols[r]]))
-        edges[r].append((g.o_cols[r], o_counts[r] - base[r][g.o_cols[r]]))
-    col_edges = [[] for _ in range(n)]
-    for r in range(n):
-        for c, s in edges[r]:
-            col_edges[c].append((r, s))
+    col_shift = [0] * n
     for seed in range(n):
         if row_shift[seed] is not None:
             continue
-        row_shift[seed] = 0
-        stack = [("row", seed)]
-        while stack:
-            kind, i = stack.pop()
-            if kind == "row":
-                for c, s in edges[i]:
-                    val = s - row_shift[i]
-                    if col_shift[c] is None:
-                        col_shift[c] = val
-                        stack.append(("col", c))
-                    elif col_shift[c] != val:
-                        return None
-            else:
-                for r, s in col_edges[i]:
-                    val = s - col_shift[i]
-                    if row_shift[r] is None:
-                        row_shift[r] = val
-                        stack.append(("row", r))
-                    elif row_shift[r] != val:
-                        return None
+        r, shift = seed, 0
+        while row_shift[r] is None:
+            row_shift[r] = shift
+            c = x_cols[r]
+            col_shift[c] = -base[r][c] - shift
+            r = o_rows[c]
+            shift = o_counts[r] - base[r][c] - col_shift[c]
+        if row_shift[r] != shift:
+            return None
     coeffs = tuple(
         tuple(base[r][c] + row_shift[r] + col_shift[c] for c in range(n))
         for r in range(n))

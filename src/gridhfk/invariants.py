@@ -222,6 +222,9 @@ def fibered(hat: BigradedRanks) -> bool:
 # ------------------------------------------------------------- move harness
 
 def apply_move(g: Grid, move: MoveDescriptor) -> Grid:
+    """The grid after ``move``, a (kind, first, second) descriptor."""
+    if len(move) != 3:
+        raise ValueError(f"a move descriptor has three fields, got {move!r}")
     kind = move[0]
     if kind == "commute":
         return commute(g, move[1], move[2])

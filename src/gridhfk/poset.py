@@ -335,8 +335,10 @@ def del_tower(p: GridPoset, i: int) -> list[int]:
 def tower_sum(p: GridPoset, k: int) -> list[int]:
     """Sum over i + j = k of the composite maps, as bitmask rows.
 
-    All-zero rows certify the tower identity at level k.
+    All-zero rows certify the tower identity at level k, for k >= 2.
     """
+    if k < 2:
+        raise ValueError(f"tower level must be >= 2, got {k}")
     towers = {i: del_tower(p, i) for i in range(1, k)}
     m = len(p.elements)
     out = [0] * m
@@ -352,51 +354,33 @@ def tower_sum(p: GridPoset, k: int) -> list[int]:
 def del2_lands_in_boundaries(p: GridPoset) -> bool:
     """Does the level-2 map send every level-1 cycle into level-1 boundaries?
 
-    This is the homology-level vanishing of the second tower map,
-    checked by explicit F2 linear algebra on bitmask vectors.
+    This is the homology-level vanishing of the second tower map, decided
+    by one F2 elimination on bitmask rows.  Each row of d1 is reduced by
+    the leading bits of the pivots so far, and its row of d2 takes the
+    same XORs.  A row that reduces to zero is a cycle of d1, and the d2
+    row it carries is that cycle's image.  Once every row is in, the
+    pivots' d1 parts span im d1, and each image must reduce to zero
+    against them.
     """
-    m = len(p.elements)
-    d1 = del_tower(p, 1)
-    d2 = del_tower(p, 2)
-
-    # Row-reduce the image of d1 into pivot form.
-    image: dict[int, int] = {}
-
-    def reduce(v: int) -> int:
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (d1, d2) parts
+    images = []
+    for v, w in zip(del_tower(p, 1), del_tower(p, 2)):
         while v:
-            piv = v.bit_length() - 1
-            if piv not in image:
-                return v
-            v ^= image[piv]
-        return 0
-
-    for row in d1:
-        rest = reduce(row)
-        if rest:
-            image[rest.bit_length() - 1] = rest
-
-    # Kernel basis of d1 via elimination with combination tracking.
-    pivots: dict[int, tuple[int, int]] = {}  # pivot -> (value, combo)
-    kernel: list[int] = []
-    for idx in range(m):
-        v, combo = d1[idx], 1 << idx
-        while v:
-            piv = v.bit_length() - 1
-            if piv not in pivots:
-                pivots[piv] = (v, combo)
+            lead = v.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (v, w)
                 break
-            pv, pc = pivots[piv]
+            pv, pw = pivots[lead]
             v ^= pv
-            combo ^= pc
+            w ^= pw
         else:
-            kernel.append(combo)
-
-    for combo in kernel:
-        w = 0
-        for idx in _bits(combo):
-            w ^= d2[idx]
-        if reduce(w):
-            return False
+            images.append(w)
+    for w in images:
+        while w:
+            lead = w.bit_length() - 1
+            if lead not in pivots:
+                return False
+            w ^= pivots[lead][0]
     return True
 
 
@@ -491,6 +475,8 @@ def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
     _check_coefficients(coefficients)
     if max_intervals < 0:
         raise ValueError(f"max_intervals must be >= 0, got {max_intervals}")
+    if tower_k < 2:
+        raise ValueError(f"tower_k must be >= 2, got {tower_k}")
     rng = random.Random(seed)
     gradings = alexander_range(g, mode, truncation, max_grid)
     posets = [p for p in _posets(g, mode, truncation, gradings, max_grid,

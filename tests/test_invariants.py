@@ -1,6 +1,7 @@
 """Alexander polynomial, genus, fiberedness, and move invariance."""
 
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -241,6 +242,18 @@ def test_apply_move_round_trips():
     assert stab.n == 6
     back = apply_move(g, ("destabilize", 2, TREFOIL5.x_cols[2]))
     assert back.x_cols == TREFOIL5.x_cols and back.o_cols == TREFOIL5.o_cols
+
+
+@pytest.mark.parametrize("move", [
+    ("stabilize", 0), ("commute", "row"), ("destabilize",), (),
+    ("stabilize", 0, "a", "extra"),
+])
+def test_apply_move_refuses_a_descriptor_without_three_fields(move):
+    """Short descriptors raised a bare IndexError; a long one was applied."""
+    for call in (lambda: apply_move(TREFOIL5, move),
+                 lambda: check_invariance(TREFOIL5, [move])):
+        with pytest.raises(ValueError, match=re.escape(repr(move))):
+            call()
 
 
 def test_invariance_trefoil_random_moves():

@@ -2,18 +2,20 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FIG8, TORUS34, TREFOIL5, UNKNOT2
 from gridhfk.complexes import (
+    _staircase_coeffs,
     build_minus_complex,
     build_tilde_complex,
     connecting_domain,
 )
 from gridhfk.errors import EmptyInterval, InvalidDifferential, ResourceLimit
 from gridhfk.gradings import alexander
-from gridhfk.grid import Grid, random_knot_grid
+from gridhfk.grid import Grid, link_components, random_knot_grid
 from gridhfk.homology import homology
 from gridhfk.poset import (
     ELLabel,
@@ -185,6 +187,84 @@ def domain_leq(p, y, x):
     return dom is not None and dom.is_positive()
 
 
+def reference_zero_xo(g, x, y, o_counts=None):
+    """Coefficients of the zero-XO domain from x to y, or None.
+
+    The row and column shifts are found by a search over the marking
+    incidence graph, rows and columns as its two kinds of node, with
+    each marking an edge that prescribes the sum of its two shifts.
+    """
+    n = g.n
+    base = _staircase_coeffs(g, x, y)
+    o_counts = (0,) * n if o_counts is None else o_counts
+    edges = [[(g.x_cols[r], -base[r][g.x_cols[r]]),
+              (g.o_cols[r], o_counts[r] - base[r][g.o_cols[r]])]
+             for r in range(n)]
+    col_edges = [[] for _ in range(n)]
+    for r in range(n):
+        for c, s in edges[r]:
+            col_edges[c].append((r, s))
+    shift = {"row": [None] * n, "col": [None] * n}
+    for seed in range(n):
+        if shift["row"][seed] is not None:
+            continue
+        shift["row"][seed] = 0
+        stack = [("row", seed)]
+        while stack:
+            kind, i = stack.pop()
+            other = "col" if kind == "row" else "row"
+            for j, s in (edges if kind == "row" else col_edges)[i]:
+                val = s - shift[kind][i]
+                if shift[other][j] is None:
+                    shift[other][j] = val
+                    stack.append((other, j))
+                elif shift[other][j] != val:
+                    return None
+    return tuple(tuple(base[r][c] + shift["row"][r] + shift["col"][c]
+                       for c in range(n)) for r in range(n))
+
+
+def test_connecting_domain_matches_graph_search_reference():
+    """Random grids, links among them, with O counts that are absent,
+    random, or read off a domain that has them (so one exists)."""
+    rng = random.Random(18)
+    found = none = links = 0
+    for case in range(6000):
+        n = rng.randint(2, 7)
+        x_cols = rng.sample(range(n), n)
+        while True:
+            o_cols = rng.sample(range(n), n)
+            if all(a != b for a, b in zip(x_cols, o_cols)):
+                break
+        g = Grid(n, tuple(x_cols), tuple(o_cols))
+        links += link_components(g) > 1
+        x = tuple(rng.sample(range(n), n))
+        y = x if case % 10 == 0 else tuple(rng.sample(range(n), n))
+        kind = case % 3
+        if kind == 0:
+            o_counts = None
+        elif kind == 1:
+            o_counts = tuple(rng.randint(-1, 2) for _ in range(n))
+        else:
+            base = _staircase_coeffs(g, x, y)
+            rows = [rng.randint(-2, 2) for _ in range(n)]
+            cols = [0] * n
+            for r in range(n):
+                cols[g.x_cols[r]] = -base[r][g.x_cols[r]] - rows[r]
+            o_counts = tuple(base[r][g.o_cols[r]] + rows[r] + cols[g.o_cols[r]]
+                             for r in range(n))
+        dom = connecting_domain(g, x, y, "zero_XO", o_counts)
+        want = reference_zero_xo(g, x, y, o_counts)
+        assert (None if dom is None else dom.coeffs) == want, (g, x, y)
+        if dom is None:
+            assert kind != 2, "the planted domain has these O counts"
+            none += 1
+        else:
+            assert dom.verify_boundary()
+            found += 1
+    assert found > 1500 and none > 1500 and links > 1000
+
+
 def test_order_is_transitive_closure_of_covers():
     """leq, the closure of the covers, agrees with positive domains on
     every ordered pair of every grading."""
@@ -344,6 +424,89 @@ def test_del2_lands_in_boundaries():
         assert del2_lands_in_boundaries(p)
 
 
+def reference_del2(p):
+    """The d2 check by two eliminations and a replay of each cycle.
+
+    im d1 goes into pivot form on its own; a second elimination of the
+    d1 rows tracks each row's combination bitmask, and every combination
+    that reduces to zero (a cycle) is pushed through d2 bit by bit and
+    reduced against the image.
+    """
+    d1, d2 = del_tower(p, 1), del_tower(p, 2)
+    image = {}
+
+    def reduce(v):
+        while v and v.bit_length() - 1 in image:
+            v ^= image[v.bit_length() - 1]
+        return v
+
+    for row in d1:
+        rest = reduce(row)
+        if rest:
+            image[rest.bit_length() - 1] = rest
+    pivots, kernel = {}, []
+    for idx, row in enumerate(d1):
+        v, combo = row, 1 << idx
+        while v:
+            piv = v.bit_length() - 1
+            if piv not in pivots:
+                pivots[piv] = (v, combo)
+                break
+            v ^= pivots[piv][0]
+            combo ^= pivots[piv][1]
+        else:
+            kernel.append(combo)
+    for combo in kernel:
+        w = 0
+        for idx in range(len(d1)):
+            if combo >> idx & 1:
+                w ^= d2[idx]
+        if reduce(w):
+            return False
+    return True
+
+
+def test_del2_matches_two_pass_reference_on_random_rows():
+    """Random gradings and lower sets: del_tower reads only these two."""
+    rng = random.Random(18)
+    outcomes = []
+    for _ in range(2400):
+        m = rng.randint(1, 9)
+        stub = SimpleNamespace(
+            maslov=tuple(rng.randint(0, 3) for _ in range(m)),
+            below=tuple(rng.getrandbits(m) for _ in range(m)))
+        got = del2_lands_in_boundaries(stub)
+        assert got == reference_del2(stub), stub
+        outcomes.append(got)
+    assert outcomes.count(True) > 400 and outcomes.count(False) > 400
+
+
+@pytest.mark.parametrize("g, mode, truncation", [
+    (TREFOIL5, "hat", None),
+    (TREFOIL5, "minus", 2),
+    (TORUS34, "hat", None),
+], ids=["trefoil5-hat", "trefoil5-minus-d2", "torus34-hat"])
+def test_del2_matches_two_pass_reference_on_grid_posets(g, mode, truncation):
+    for p in all_posets(g, mode, truncation):
+        assert del2_lands_in_boundaries(p) == reference_del2(p)
+
+
+def test_del2_fails_when_d2_sends_a_cycle_outside_the_boundaries():
+    """z at grading 0 below x at grading 2 with nothing between: d1 = 0,
+    so x is a cycle and no element is a boundary, and d2(x) = z."""
+    stub = SimpleNamespace(maslov=(0, 2), below=(0b01, 0b11))
+    assert del_tower(stub, 1) == [0, 0] and del_tower(stub, 2) == [0, 0b01]
+    assert not del2_lands_in_boundaries(stub)
+    assert not reference_del2(stub)
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_tower_sum_refuses_a_level_below_two(k):
+    """Below level 2 there is no identity, and all-zero rows would pass."""
+    with pytest.raises(ValueError, match="tower level must be >= 2"):
+        tower_sum(build_poset(TREFOIL5, 0), k)
+
+
 def test_del_tower_one_equals_covers():
     for p in all_posets(TREFOIL5):
         rows = del_tower(p, 1)
@@ -487,6 +650,9 @@ def test_poset_stats_checks_its_arguments_before_any_table(monkeypatch):
         poset_stats(TREFOIL5, coefficients="z")
     with pytest.raises(ValueError, match="max_intervals must be >= 0"):
         poset_stats(TREFOIL5, max_intervals=-1)
+    for tower_k in (1, 0):
+        with pytest.raises(ValueError, match="tower_k must be >= 2"):
+            poset_stats(TREFOIL5, tower_k=tower_k)
 
 
 def test_poset_stats_certifies_sampled_intervals(monkeypatch):
