@@ -49,6 +49,7 @@ COMMANDS = [
     "--coefficients z --json",
     "homology fixtures/trefoil5.grid --version minus --truncate 3",
     "homology fixtures/fig8.grid --version minus --truncate 2 --json",
+    "homology fixtures/granny.grid --version minus",
     "alexander fixtures/granny.grid",
     "genus fixtures/torus34.grid",
     "fibered fixtures/torus34.grid",

@@ -80,6 +80,20 @@ def _check_grid_size(g: Grid, max_grid: int) -> None:
             f"({factorial(g.n)} generators); raise max_grid to proceed")
 
 
+def _check_basis_size(g: Grid, d: int, max_grid: int,
+                      max_elements: int | None,
+                      basis: str = "truncated minus") -> None:
+    """Refuse a grid over ``max_grid``, then a basis of n! * d**n elements
+    over ``max_elements`` (``None``: no ceiling), before any table is built.
+    """
+    _check_grid_size(g, max_grid)
+    count = factorial(g.n) * d ** g.n
+    if max_elements is not None and count > max_elements:
+        raise ResourceLimit(
+            f"{basis} basis has {count} elements, over the ceiling "
+            f"{max_elements}")
+
+
 class Rectangle:
     """Cells ``[col, col+width] x [row, row+height]`` on the n-torus.
 
@@ -469,7 +483,9 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
              top_half: bool = False) -> ChainComplex:
     _check_coefficients(coefficients)
     tilde = version == "tilde"
-    table = move_table(g, max_grid, _term_class(d), top_half)
+    cls = _term_class(d)
+    _check_basis_size(g, d, max_grid, max_elements)
+    table = move_table(g, max_grid, cls, top_half)
     if coefficients == "F2":
         ones = dict.fromkeys(table.rects, 1)
         entry = lambda x: ones
@@ -479,8 +495,7 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
         entry = partial(move_signs, table)
     else:
         entry = signs.row
-    labels, gradings, diff = _differential(table, d, entry, tilde,
-                                           max_elements)
+    labels, gradings, diff = _differential(table, d, entry, tilde)
     return ChainComplex(coefficients, version, g, None if tilde else d,
                         labels, gradings, diff)
 
@@ -496,8 +511,7 @@ def _term_class(d: int) -> str:
     return "XO" if d == 1 else "X"
 
 
-def _differential(table: MoveTable, d: int, entry, bare: bool,
-                  max_elements: int | None):
+def _differential(table: MoveTable, d: int, entry, bare: bool):
     """Labels, bigradings and rows of the differential truncated at ``d``.
 
     The basis is each generator x of ``table`` times U^k, k in
@@ -514,10 +528,6 @@ def _differential(table: MoveTable, d: int, entry, bare: bool,
     g, gens, moves, rects = table.grid, table.gens, table.moves, table.rects
     n = g.n
     size = d ** n
-    if max_elements is not None and len(gens) * size > max_elements:
-        raise ResourceLimit(
-            f"truncated minus basis has {len(gens) * size} elements, over "
-            f"the ceiling {max_elements}")
     exps = list(itertools.product(range(d), repeat=n))
     step = [d ** (n - 1 - r) for r in range(n)]  # basis shift of a U_r bump
     labels, gradings = [], []

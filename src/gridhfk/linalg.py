@@ -7,12 +7,11 @@ matrices built elsewhere in this package start with entries in {-1, 0, 1},
 so this stage almost always consumes everything) and hands any leftover
 core to a dense Smith normal form with exact big-integer arithmetic.
 
-The unit pivots come from a lazy min-heap keyed by Markowitz cost, one
-entry per row for its cheapest +-1 entry.  Each pivot pushes the rows it
-rewrote again; entries that went stale (row eliminated, no +-1 entry
-left) are dropped when popped, and entries whose cost rose are pushed
-back at the new cost.  A pivot thus costs the rows it touches plus a few
-heap operations, not a scan of the matrix.  Row operations with unit
+The unit pivots come from a first-in first-out queue of rows, each row
+in it at most once.  A popped row pivots on its +-1 entry in the
+shortest column, and every row that pivot rewrites goes back in the
+queue, since a rewrite can create a +-1 entry.  A pivot thus costs the
+rows it touches, not a scan of the matrix.  Row operations with unit
 pivots are unimodular, so the pivot order cannot change the invariant
 factors.
 
@@ -23,7 +22,7 @@ block.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from collections import deque
 from typing import Iterable, Sequence
 
 
@@ -52,74 +51,56 @@ def f2_rank(rows: Iterable[int], pivot_cols: list[int] | None = None) -> int:
 def _strip_unit_pivots(rows: dict[int, dict[int, int]]) -> list[int]:
     """Eliminate with +-1 pivots in place; returns their columns in order.
 
-    Pivots are chosen to minimize fill (Markowitz count, (row length - 1)
-    * (column length - 1)), which keeps the intermediate entries small on
-    the nearly-unimodular matrices homology blocks produce.  Candidates
-    wait in a min-heap of (cost, row, column) entries: every row pushes
-    its cheapest +-1 entry at the start, and every row a pivot rewrites
-    pushes it again.  The heap is lazy.  A popped entry is stale if its
-    row is gone; otherwise the row's cheapest +-1 entry is taken afresh.
-    A row with none left is dropped, one whose cost has risen since the
-    push goes back in at the new cost, and the rest pivot.  A cost that
-    fell is not refreshed until its row is pushed again, so the order is
-    Markowitz up to that lag; in exchange a pivot costs the rows it
-    rewrites and a few heap operations, not a scan of the whole matrix.
+    Rows wait in a first-in first-out queue, each at most once.  A popped
+    row pivots on its +-1 entry whose column holds the fewest rows, which
+    keeps fill low on the nearly-unimodular blocks ``homology`` hands in,
+    and that column is cleared from every other row through the column
+    index.  Rows that empty are deleted; the other rewritten rows go back
+    in the queue, since a rewrite can create a +-1 entry.  A row with no
+    +-1 entry when popped stays in ``rows`` for the dense core.
     """
     cols: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-
-    def cheapest(r: int) -> tuple[int, int, int] | None:
-        row = rows[r]
-        best = None
-        for c, val in row.items():
-            if val in (1, -1) and (best is None
-                                   or len(cols[c]) < len(cols[best])):
-                best = c
-        if best is None:
-            return None
-        return (len(row) - 1) * (len(cols[best]) - 1), r, best
-
-    heap = [entry for entry in map(cheapest, rows) if entry]
-    heapify(heap)
+    queue = deque(rows)
+    queued = set(rows)
     eliminated = []
-    while heap:
-        cost, r0, _ = heappop(heap)
-        if r0 not in rows:
+    while queue:
+        r0 = queue.popleft()
+        queued.discard(r0)
+        pivot_row = rows.get(r0)
+        if pivot_row is None:
             continue
-        entry = cheapest(r0)
-        if entry is None:
+        c0 = None
+        for c, val in pivot_row.items():
+            if val in (1, -1) and (c0 is None
+                                   or len(cols[c]) < len(cols[c0])):
+                c0 = c
+        if c0 is None:
             continue
-        if entry[0] > cost:
-            heappush(heap, entry)
-            continue
-        c0 = entry[2]
-        pivot_row = rows.pop(r0)
-        sign = pivot_row[c0]
+        del rows[r0]
+        sign = pivot_row.pop(c0)
         for c in pivot_row:
             cols[c].discard(r0)
-        touched = list(cols[c0])
+        touched = cols.pop(c0)
+        touched.discard(r0)
         for r in touched:
             row = rows[r]
-            factor = row[c0] * sign
+            factor = row.pop(c0) * sign
             for c, val in pivot_row.items():
                 new = row.get(c, 0) - factor * val
                 if new:
                     row[c] = new
                     cols.setdefault(c, set()).add(r)
-                else:
-                    if c in row:
-                        del row[c]
-                        cols[c].discard(r)
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(r)
             if not row:
                 del rows[r]
-        del cols[c0]
-        for r in touched:
-            if r in rows:
-                entry = cheapest(r)
-                if entry:
-                    heappush(heap, entry)
+            elif r not in queued:
+                queue.append(r)
+                queued.add(r)
         eliminated.append(c0)
     return eliminated
 

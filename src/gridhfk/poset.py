@@ -28,6 +28,7 @@ from .complexes import (
     DEFAULT_MAX_GRID,
     ChainComplex,
     Rectangle,
+    _check_basis_size,
     _check_coefficients,
     _check_grid_size,
     _differential,
@@ -181,10 +182,13 @@ def _posets(g: Grid, mode: str, truncation: int | None, gradings,
     each grading's elements carry their whole cover rows.
     """
     d = _truncation(mode, truncation)
-    table = move_table(g, max_grid, _term_class(d))
+    cls = _term_class(d)
     hat = mode == "hat"
+    _check_basis_size(g, d, max_grid, max_elements,
+                      "hat" if hat else "truncated minus")
+    table = move_table(g, max_grid, cls)
     elements, bigradings, rows = _differential(
-        table, d, lambda x: table.rects, hat, None if hat else max_elements)
+        table, d, lambda x: table.rects, hat)
     del table
     members = {a: [] for a in gradings}
     for i, (_, a) in enumerate(bigradings):

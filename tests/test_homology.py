@@ -79,6 +79,46 @@ def test_invariant_factors_match_dense_smith_form(matrix):
     assert sorted(invariant_factors(rows)) == _snf_factors(rows, n)
 
 
+def test_rewritten_unit_row_goes_back_in_the_queue():
+    """Row 0 has no +-1 entry until the pivot of row 1 rewrites it to
+    {1: 1}; only the pivot columns show that it was taken as a unit
+    pivot and not left to the dense core."""
+    cols = []
+    assert invariant_factors([{0: 2, 1: 3}, {0: 1, 1: 1}], cols) == [1, 1]
+    assert sorted(cols) == [0, 1]
+
+
+@st.composite
+def larger_sparse_matrices(draw):
+    """Sparse integer matrices of 10-24 rows and columns, entries in -2..2.
+
+    With at most five entries a row and twos among the units, a row often
+    gains its first +-1 entry only after several pivots have rewritten it.
+    """
+    m = draw(st.integers(10, 24))
+    n = draw(st.integers(10, 24))
+    values = st.sampled_from((-2, -1, 1, 2))
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), values, max_size=5))
+            for _ in range(m)]
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_sparse_matrices())
+def test_invariant_factors_and_pivot_columns_on_larger_matrices(matrix):
+    """The factors match the dense Smith form, and the reported unit pivot
+    columns carry unit-triangular pivot rows: restricted to those columns,
+    the matrix has as many invariant factors as columns, all 1."""
+    rows, n = matrix
+    cols = []
+    assert sorted(invariant_factors(rows, cols)) == _snf_factors(rows, n)
+    assert len(set(cols)) == len(cols)
+    if cols:
+        restricted = [{k: row[c] for k, c in enumerate(cols) if c in row}
+                      for row in rows]
+        assert _snf_factors(restricted, len(cols)) == [1] * len(cols)
+
+
 def _determinantal_factors(dense, n_cols):
     """Invariant factors as quotients of determinantal divisors.
 

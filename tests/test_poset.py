@@ -6,8 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import FIG8, TORUS34, TREFOIL5, UNKNOT2
+from conftest import FIG8, GRANNY9, TORUS34, TREFOIL5, UNKNOT2
 from gridhfk.complexes import (
+    DEFAULT_MAX_ELEMENTS,
+    DEFAULT_MAX_GRID,
     _staircase_coeffs,
     build_minus_complex,
     build_tilde_complex,
@@ -19,6 +21,7 @@ from gridhfk.grid import Grid, link_components, random_knot_grid
 from gridhfk.homology import homology
 from gridhfk.poset import (
     ELLabel,
+    _posets,
     alexander_range,
     build_poset,
     components,
@@ -47,13 +50,23 @@ def test_components_refuse_an_unknown_ring():
         assert not isinstance(info.value, InvalidDifferential)
 
 
+def one_pass_posets(g, mode="hat", truncation=None):
+    """The poset of every Alexander grading, from one builder pass."""
+    return _posets(g, mode, truncation, alexander_range(g, mode, truncation),
+                   DEFAULT_MAX_GRID, DEFAULT_MAX_ELEMENTS)
+
+
 def all_posets(g, mode="hat", truncation=None):
-    out = []
-    for a in alexander_range(g, mode, truncation):
-        p = build_poset(g, a, mode, truncation)
-        if len(p):
-            out.append(p)
-    return out
+    return [p for p in one_pass_posets(g, mode, truncation) if len(p)]
+
+
+@pytest.mark.parametrize("g", [TREFOIL5, TORUS34], ids=["trefoil5", "torus34"])
+def test_build_poset_matches_the_one_pass_posets(g):
+    fields = ("alexander", "elements", "maslov", "covers", "below", "index")
+    for p in one_pass_posets(g):
+        q = build_poset(g, p.alexander)
+        assert [getattr(q, f) for f in fields] == \
+            [getattr(p, f) for f in fields]
 
 
 def flat_covers(p):
@@ -621,6 +634,25 @@ def test_build_poset_validation():
         build_poset(UNKNOT2, 0, "minus")
     with pytest.raises(ResourceLimit):
         build_poset(TREFOIL5, 0, "minus", truncation=2, max_elements=100)
+    with pytest.raises(ResourceLimit, match="hat basis has 120 elements"):
+        build_poset(TREFOIL5, 0, "hat", max_elements=100)
+
+
+def test_element_ceiling_refuses_before_any_table(monkeypatch):
+    """The granny's minus complex (n! * 2^9 elements) and hat posets (9!)
+    are over the 200,000 ceiling, and are refused before a move table."""
+    def refuse(*args):
+        raise AssertionError("a move table was built before the ceiling")
+
+    monkeypatch.setattr("gridhfk.complexes.move_table", refuse)
+    monkeypatch.setattr("gridhfk.poset.move_table", refuse)
+    with pytest.raises(ResourceLimit,
+                       match="truncated minus basis has 185794560 elements"):
+        build_minus_complex(GRANNY9, 2)
+    for call in (lambda: build_poset(GRANNY9, 0),
+                 lambda: poset_stats(GRANNY9)):
+        with pytest.raises(ResourceLimit, match="hat basis has 362880"):
+            call()
 
 
 def test_leq_rejects_foreign_elements():
