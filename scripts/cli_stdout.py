@@ -31,6 +31,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # knot8 of the benchmark's fixed jobs, inline
 KNOT8 = "8;X=6,4,3,1,5,0,7,2;O=0,1,7,6,2,3,5,4"
+# a three-component split unlink: knot invariants refuse it, while the
+# tilde table, which needs no knot, prints
+UNLINK3 = "6;X=0,1,2,3,4,5;O=1,0,3,2,5,4"
 
 COMMANDS = [
     "homology fixtures/unknot2.grid",
@@ -51,6 +54,8 @@ COMMANDS = [
     "homology fixtures/fig8.grid --version minus --truncate 2 --json",
     "homology fixtures/granny.grid --version minus",
     "alexander fixtures/granny.grid",
+    f"alexander {UNLINK3}",
+    f"homology {UNLINK3} --version tilde",
     "genus fixtures/torus34.grid",
     "fibered fixtures/torus34.grid",
     "poset stats fixtures/torus34.grid",

@@ -494,13 +494,16 @@ def run(argv) -> int:
     the heap with millions of acyclic tuples and lists (generators, move
     rows, matrix rows), which reference counting frees; each full
     collection would only walk them all again, at a cost that grows with
-    the heap and swings with memory traffic.
+    the heap and swings with memory traffic.  The address-space limit
+    that ``GRIDHFK_MAX_MEMORY_MB`` installs is lifted again on the way
+    out, so the caller gets back the limit it had.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
         return _run(argv)
     finally:
+        _lift_memory_ceiling()
         if collecting:
             gc.enable()
 

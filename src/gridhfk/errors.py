@@ -46,7 +46,12 @@ class NotDestabilizable(ValueError):
 
 
 class NonIntegralAlexander(ValueError):
-    """Alexander grading came out non-integral (multi-component link)."""
+    """The grid presents a multi-component link, not a knot.
+
+    With an even number of components the Alexander grading is
+    half-integral; with an odd number it is integral, and the component
+    count refuses the grid.
+    """
 
 
 class ResourceLimit(RuntimeError):

@@ -10,10 +10,13 @@ at half-integral positions, and ``N`` the grid size::
     A(x) = J(x - (X + O)/2, X - O) - (N - 1)/2
 
 Both are computed against the fixed cut of the torus but do not depend on
-it.  ``M`` is always an integer; ``A`` is an integer exactly when the grid
-presents a knot.  All arithmetic is integral: coordinates are doubled so
-markings live at odd integers, and the pairing is accumulated in units of
-1/2 (quarters for ``A``), never in floats.
+it.  ``M`` is always an integer.  On a link of l components ``A`` lies in
+``Z + (l - 1)/2``: it is an integer on knots and on links with an odd
+number of components, and half an odd integer on the others.  The knot
+invariants refuse every link by ``_require_knot``.  All arithmetic is
+integral: coordinates are doubled so markings live at odd integers, and
+the pairing is accumulated in units of 1/2 (quarters for ``A``), never
+in floats.
 
 ``maslov`` and ``alexander`` are the fast path: J pairs each point of
 ``x`` with the markings independently, so per-grid tables ``T_X[r][c]``
@@ -49,7 +52,7 @@ from operator import getitem
 from typing import TYPE_CHECKING
 
 from .errors import InexactDivision, NonIntegralAlexander
-from .grid import Grid
+from .grid import Grid, link_components
 
 if TYPE_CHECKING:  # exact rationals load with the oracles that use them
     from fractions import Fraction
@@ -152,7 +155,11 @@ def maslov(g: Grid, x: tuple[int, ...]) -> int:
 
 
 def alexander(g: Grid, x: tuple[int, ...]) -> int:
-    """Alexander grading A(x); raises on links, where it is half-integral."""
+    """Alexander grading A(x); raises where it is half-integral.
+
+    That is on links with an even number of components; see
+    ``_require_knot`` for the others.
+    """
     pair = _grid_pairings(g)
     quad = 2 * sum(map(getitem, pair.t_xo, x)) + pair.alexander_shift
     if quad % 4:
@@ -197,17 +204,31 @@ def maslov_index(coeffs, n: int, x: tuple[int, ...], y: tuple[int, ...]) -> Frac
     return total
 
 
+def _require_knot(g: Grid) -> None:
+    """Raise NonIntegralAlexander unless ``g`` presents a knot.
+
+    A is integral on every generator or on none, so the identity
+    generator refuses a link with an even number of components by its
+    half-integral grading.  A link with an odd number of components has
+    integral gradings, and its component count refuses it.
+    """
+    alexander(g, tuple(range(g.n)))
+    count = link_components(g)
+    if count != 1:
+        raise NonIntegralAlexander(
+            f"the grid presents a {count}-component link, not a knot")
+
+
 def top_generators(g: Grid, floor: int) -> list[tuple[int, ...]]:
     """The generators with ``A(x) >= floor``, in lexicographic order.
 
     Branch and bound: the rows of ``T_X - T_O`` are placed widest spread
     first, each over its columns in decreasing value, and a branch is cut
     as soon as the maxima of the rows still open cannot reach ``floor``.
-    A link grid raises NonIntegralAlexander: A is integral on every
-    generator or on none, so the identity generator decides.
+    A link grid raises NonIntegralAlexander (``_require_knot``).
     """
     n = g.n
-    alexander(g, tuple(range(n)))
+    _require_knot(g)
     pair = _grid_pairings(g)
     t_xo = pair.t_xo
     # least sum_r t_xo[r][x[r]] at A >= floor, as 4 A = 2 sum + shift
@@ -252,10 +273,10 @@ def _generator_sums(g: Grid) -> dict[int, tuple[int, int]]:
     row in a larger column, so the signed count tracks the permutation
     sign.  The identity generator's Maslov parity fixes the global sign,
     and ``4 A(x) = 2 sum_r t_xo[r][x[r]] + shift``.  A link grid raises
-    NonIntegralAlexander on the identity generator, as the hat does.
+    NonIntegralAlexander (``_require_knot``), as the hat does.
     """
     identity = tuple(range(g.n))
-    alexander(g, identity)
+    _require_knot(g)
     pair = _grid_pairings(g)
     states = {0: {0: (1, 1)}}
     for row in pair.t_xo:

@@ -7,9 +7,13 @@ coincide with the boundary matrix of the corresponding chain complex,
 and the order is their reflexive-transitive closure: that is how it is
 computed, once per poset, as one bitset of lower elements per element.
 The posets of all gradings come from one pass of the complex builder.
-``poset_stats`` reads each open interval's parity from those bitsets;
-on the pairs it samples, ``connecting_domain`` (the definition) and
-``interval`` (the sub-poset itself) certify the order and the count.
+XOR-ing the down-sets of the elements below x gives, at bit y, the
+parity of the interval [y, x].  ``poset_stats`` reads every open
+interval's parity from those entries, and the tower identities with
+them: the composites of the tower maps at level k are the parities at
+grading gap k.  On the pairs it samples, ``connecting_domain`` (the
+definition) and ``interval`` (the sub-poset itself) certify the order
+and the count.
 On top of the order this module provides interval extraction, the
 graded boundary maps of the spectral tower, connected components with
 their homology, and the edge-lexicographic labeling used to certify
@@ -20,7 +24,8 @@ from __future__ import annotations
 
 import collections
 import random
-from operator import sub
+from functools import reduce
+from operator import sub, xor
 from typing import NamedTuple
 
 from .complexes import (
@@ -321,6 +326,26 @@ def maximal_chains(p: GridPoset, y, x):
 
 # ----------------------------------------------------------- spectral tower
 
+def _levels(p: GridPoset) -> dict[int, int]:
+    """Maslov grading -> bitset of the elements at that grading."""
+    level: dict[int, int] = collections.defaultdict(int)
+    for idx, g in enumerate(p.maslov):
+        level[g] |= 1 << idx
+    return level
+
+
+def _parities(p: GridPoset) -> list[int]:
+    """Interval parities: entry x is the XOR of ``below[z]`` over z <= x.
+
+    Bit y of entry x is the parity of the closed interval [y, x], so of
+    the open one (y, x) when y < x; bit x is always set.  One XOR per
+    related pair.
+    """
+    below = p.below
+    return [reduce(xor, map(below.__getitem__, _bits(mask)), 0)
+            for mask in below]
+
+
 def del_tower(p: GridPoset, i: int) -> list[int]:
     """The grading-i boundary map as bitmask rows over F2.
 
@@ -330,29 +355,25 @@ def del_tower(p: GridPoset, i: int) -> list[int]:
     """
     if i < 1:
         raise ValueError(f"tower index must be positive, got {i}")
-    level: dict[int, int] = collections.defaultdict(int)
-    for idx, g in enumerate(p.maslov):
-        level[g] |= 1 << idx
+    level = _levels(p)
     return [bits & level.get(g - i, 0) for bits, g in zip(p.below, p.maslov)]
 
 
 def tower_sum(p: GridPoset, k: int) -> list[int]:
-    """Sum over i + j = k of the composite maps, as bitmask rows.
+    """Sum over i + j = k of the composite maps d_j d_i, as bitmask rows.
 
     All-zero rows certify the tower identity at level k, for k >= 2.
+    Row x is x's entry of ``_parities`` at grading gap k.  Every strict
+    relation lowers the grading, so each y strictly between z and x lies
+    on exactly one composite, the one with i = g(x) - g(y).  In the XOR
+    of ``below[z]`` over z <= x, read at gap k, the terms with
+    0 < g(x) - g(z) < k are the composites.  The term z = x gives
+    ``below[x]`` at gap k, and each z at gap k gives only itself: the
+    two cancel.
     """
     if k < 2:
         raise ValueError(f"tower level must be >= 2, got {k}")
-    towers = {i: del_tower(p, i) for i in range(1, k)}
-    m = len(p.elements)
-    out = [0] * m
-    for j in range(1, k):
-        upper = towers[j]
-        lower = towers[k - j]
-        for xi in range(m):
-            for yi in _bits(upper[xi]):
-                out[xi] ^= lower[yi]
-    return out
+    return [e & d for e, d in zip(_parities(p), del_tower(p, k))]
 
 
 def del2_lands_in_boundaries(p: GridPoset) -> bool:
@@ -441,9 +462,10 @@ def _certify(p: GridPoset, yi: int, xi: int) -> None:
     """Check a sampled pair y < x against the definition and ``interval``.
 
     y <= x needs a positive connecting domain.  The open interval (y, x)
-    that ``interval`` builds must hold as many elements as the count
-    that ``poset_stats`` reads its parity from: ``below[x]`` meets y's
-    up-set, less x and y.  Raises InvalidDifferential when either fails.
+    that ``interval`` builds must hold as many elements as the order's
+    bitsets count, ``below[x]`` met with y's up-set less x and y, whose
+    parity ``poset_stats`` reads.  Raises InvalidDifferential when
+    either fails.
     """
     y, x = p.elements[yi], p.elements[xi]
     (gx, fx), (gy, fy) = p._split(x), p._split(y)
@@ -471,10 +493,12 @@ def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
     the tower identities up to ``tower_k``, and the increasing-chain
     check on closed intervals of length 2..5 (capped at
     ``max_intervals``, sampled deterministically from ``seed``).  The
-    posets come from one pass of the builder.  Each open interval (y, x)
-    is counted from the order's bitsets, ``below[x] & up[y]`` less x and
-    y, with ``up`` the transpose of ``below``; ``_certify`` checks that
-    count against ``interval`` on the sampled pairs.
+    posets come from one pass of the builder.  One pass over each
+    poset's interval parities (``_parities``) reads all the rest: the
+    related pairs, the odd open intervals, the tower identities (see
+    ``tower_sum``) and the sampling candidates.  ``_certify`` checks the
+    order and the interval counts against their definitions on the
+    sampled pairs.
     """
     _check_coefficients(coefficients)
     if max_intervals < 0:
@@ -502,24 +526,21 @@ def poset_stats(g: Grid, mode: str = "hat", truncation: int | None = None,
             ],
         })
 
-    pairs = 0
-    odd_intervals = 0
+    pairs = odd_intervals = 0
+    tower_ok = True
     candidates = []
     for p in posets:
-        up = [0] * len(p)
-        for xi, mask in enumerate(p.below):
-            for yi in _bits(mask):
-                up[yi] |= 1 << xi
-        for xi, mask in enumerate(p.below):
-            for yi in _bits(mask ^ 1 << xi):
-                pairs += 1
-                # (y, x) has (mask & up[yi]).bit_count() - 2 elements
-                odd_intervals += (mask & up[yi]).bit_count() & 1
-                if 2 <= p.maslov[xi] - p.maslov[yi] <= 5:
-                    candidates.append((p, yi, xi))
+        level = _levels(p)
+        for xi, (mask, parity, m) in enumerate(
+                zip(p.below, _parities(p), p.maslov)):
+            pairs += mask.bit_count() - 1
+            odd_intervals += parity.bit_count() - 1
+            tower_ok = tower_ok and not any(
+                parity & level.get(m - k, 0) for k in range(2, tower_k + 1))
+            # the levels are disjoint, so their sum is their union
+            window = sum(level.get(m - k, 0) for k in range(2, 6))
+            candidates += ((p, yi, xi) for yi in _bits(mask & window))
 
-    tower_ok = all(not any(tower_sum(p, k))
-                   for p in posets for k in range(2, tower_k + 1))
     del2_ok = all(del2_lands_in_boundaries(p) for p in posets)
 
     rng.shuffle(candidates)

@@ -378,6 +378,20 @@ def test_homology_on_a_link_grid_exits_2(capsys):
                        "multi-component link\n"), argv
 
 
+@pytest.mark.parametrize("grid", ["6;X=0,1,2,3,4,5;O=1,0,3,2,5,4",
+                                  "6;X=0,1,2,3,4,5;O=3,4,5,0,1,2"],
+                         ids=["split-unlink3", "torus33"])
+def test_knot_commands_on_an_odd_link_exit_2(capsys, grid):
+    """Three components leave every A integral; the count refuses them."""
+    for argv in (["alexander", grid], ["homology", grid], ["genus", grid],
+                 ["fibered", grid], ["poset", "stats", grid],
+                 ["check", "invariance", grid, "--moves", "1"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, ""), argv
+        assert err == ("gridhfk: validation error: the grid presents a "
+                       "3-component link, not a knot\n"), argv
+
+
 def test_validation_error_json_stderr(capsys):
     rc, _, err = run(capsys,
                      ["moves", "commute", TREFOIL, "row", "0", "--json"])
@@ -406,6 +420,37 @@ def test_bad_memory_env_is_usage_error(capsys, monkeypatch):
     rc, _, err = run(capsys, ["genus", UNKNOT])
     assert rc == 1
     assert "GRIDHFK_MAX_MEMORY_MB" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["homology", TREFOIL], 0),
+    (["homology", TREFOIL, "--max-grid", "1"], 1),
+    (["homology", "4;X=0,1,2,3;O=2,3,0,1"], 2),
+    (["homology", TORUS34, "--version", "minus"], 3),
+], ids=["ok", "usage", "validation", "resource"])
+def test_run_gives_the_caller_its_memory_limit_back(capsys, monkeypatch,
+                                                    argv, code):
+    """The ceiling holds while a command runs, and is lifted on every exit.
+
+    Fakes stand in for the rlimit calls, so no real limit is set.
+    """
+    import resource
+
+    import gridhfk.cli as cli
+
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    limits = {resource.RLIMIT_AS: unlimited}
+    installed = []
+    monkeypatch.setattr(resource, "getrlimit", limits.__getitem__)
+    monkeypatch.setattr(resource, "setrlimit",
+                        lambda kind, value: installed.append(value)
+                        or limits.__setitem__(kind, value))
+    monkeypatch.setenv("GRIDHFK_MAX_MEMORY_MB", "4000")
+    for _ in range(3):
+        assert run(capsys, argv)[0] == code
+        assert limits[resource.RLIMIT_AS] == unlimited
+    assert installed == [(4000 << 20, resource.RLIM_INFINITY), unlimited] * 3
+    assert cli._SAVED_RLIMIT == []
 
 
 def test_help_exits_0(capsys):

@@ -19,8 +19,12 @@ from gridhfk.errors import EmptyInterval, InvalidDifferential, ResourceLimit
 from gridhfk.gradings import alexander
 from gridhfk.grid import Grid, link_components, random_knot_grid
 from gridhfk.homology import homology
+from gridhfk import poset
 from gridhfk.poset import (
     ELLabel,
+    _bits,
+    _make_poset,
+    _parities,
     _posets,
     alexander_range,
     build_poset,
@@ -414,6 +418,121 @@ def test_tower_identities():
     for p in all_posets(TREFOIL5):
         for k in range(2, 5):
             assert not any(tower_sum(p, k)), (p.alexander, k)
+
+
+def reference_tower_sum(p, k):
+    """Sum over i + j = k of the composites d_j d_i, composed map by map:
+    the reference for ``tower_sum``."""
+    towers = {i: del_tower(p, i) for i in range(1, k)}
+    out = [0] * len(p.maslov)
+    for j in range(1, k):
+        upper, lower = towers[j], towers[k - j]
+        for xi in range(len(out)):
+            for yi in _bits(upper[xi]):
+                out[xi] ^= lower[yi]
+    return out
+
+
+def reference_parity(posets):
+    """(related pairs, odd open intervals, sampling candidates) counted
+    against the transpose of each order: the reference for the pass in
+    ``poset_stats``."""
+    pairs = odd = 0
+    candidates = []
+    for p in posets:
+        up = [0] * len(p)
+        for xi, mask in enumerate(p.below):
+            for yi in _bits(mask):
+                up[yi] |= 1 << xi
+        for xi, mask in enumerate(p.below):
+            for yi in _bits(mask ^ 1 << xi):
+                pairs += 1
+                # (y, x) has (mask & up[yi]).bit_count() - 2 elements
+                odd += (mask & up[yi]).bit_count() & 1
+                if 2 <= p.maslov[xi] - p.maslov[yi] <= 5:
+                    candidates.append((p, yi, xi))
+    return pairs, odd, candidates
+
+
+def random_graded_poset(rng):
+    """A poset on random cover rows, each cover one grading down.
+
+    Grid posets have only even intervals; these mostly do not.
+    """
+    m = rng.randint(6, 12)
+    maslov = [rng.randint(0, 5) for _ in range(m)]
+    covers = [[(l, None) for l in range(m)
+               if maslov[l] == maslov[u] - 1 and rng.random() < 0.5]
+              for u in range(m)]
+    return _make_poset(TREFOIL5, "hat", None, 0, tuple(range(m)), maslov,
+                       covers, range(m))
+
+
+def test_parities_and_tower_sum_on_random_graded_posets():
+    """Bit y of entry x is the parity of [y, x], and the tower sums are
+    the composed maps, on posets with odd intervals."""
+    rng = random.Random(20)
+    odd_posets = failing = 0
+    for _ in range(3000):
+        p = random_graded_poset(rng)
+        parities = _parities(p)
+        for xi, mask in enumerate(p.below):
+            closed = [sum(p.below[z] >> yi & 1 for z in _bits(mask)) & 1
+                      for yi in range(len(p))]
+            assert [parities[xi] >> yi & 1 for yi in range(len(p))] == closed
+        odd = reference_parity([p])[1]
+        assert sum(e.bit_count() - 1 for e in parities) == odd
+        odd_posets += odd > 0
+        fails = False
+        for k in range(2, 8):
+            got = tower_sum(p, k)
+            assert got == reference_tower_sum(p, k), (p.maslov, p.below, k)
+            fails |= any(got)
+        failing += fails
+    assert odd_posets > 1500 and failing > 1500
+
+
+def test_poset_stats_on_posets_with_odd_intervals(monkeypatch):
+    """Random graded posets in place of the grid's: the parity and tower
+    fields of the report are the transpose count and the composed maps."""
+    rng = random.Random(21)
+    monkeypatch.setattr(poset, "components", lambda p, *args: [])
+    verdicts = set()
+    for _ in range(300):
+        posets = [random_graded_poset(rng) for _ in range(rng.randint(1, 3))]
+        tower_k = rng.randint(2, 6)
+        monkeypatch.setattr(poset, "_posets", lambda *args: posets)
+        stats = poset_stats(TREFOIL5, max_intervals=0, tower_k=tower_k)
+        pairs, odd, _ = reference_parity(posets)
+        ok = all(not any(reference_tower_sum(p, k))
+                 for p in posets for k in range(2, tower_k + 1))
+        assert stats["parity"] == {"pairs": pairs, "odd_open_intervals": odd,
+                                   "all_even": odd == 0}
+        assert stats["tower"] == {
+            "max_k": tower_k, "ok": ok,
+            "del2_in_boundaries": all(map(reference_del2, posets))}
+        verdicts.add((odd == 0, ok))
+    assert verdicts == {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("g, mode, truncation, seed", [
+    (TORUS34, "hat", None, 0),
+    (TREFOIL5, "minus", 2, 3),
+], ids=["torus34-hat", "trefoil5-minus-d2"])
+def test_poset_stats_samples_the_reference_candidates(monkeypatch, g, mode,
+                                                      truncation, seed):
+    """The certified pairs are the transpose loop's candidates after the
+    same seeded shuffle, in the same order."""
+    certified = []
+    certify = poset._certify
+    monkeypatch.setattr(poset, "_certify", lambda p, yi, xi: certified.append(
+        (p.alexander, yi, xi)) or certify(p, yi, xi))
+    stats = poset_stats(g, mode, truncation, seed=seed)
+    candidates = reference_parity(all_posets(g, mode, truncation))[2]
+    random.Random(seed).shuffle(candidates)
+    assert certified == [(p.alexander, yi, xi)
+                         for p, yi, xi in candidates[:200]]
+    assert stats["el"]["intervals_checked"] == 200 < len(candidates)
 
 
 def test_tower_identity_is_parity_statement():

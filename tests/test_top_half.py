@@ -51,13 +51,17 @@ from gridhfk.homology import BigradedRanks, extract_hat, homology
 from gridhfk.invariants import (
     alexander_polynomial,
     certify_hat,
+    check_invariance,
     grid_alexander_polynomial,
     hat_homology,
 )
-from gridhfk.poset import alexander_range
+from gridhfk.poset import alexander_range, poset_stats
 from gridhfk.signs import solve_signs
 
 HOPF = Grid(4, (0, 1, 2, 3), (2, 3, 0, 1))
+# three-component links, on which every Alexander grading is an integer
+SPLIT_UNLINK3 = Grid(6, (0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4))
+TORUS33 = Grid(6, (0, 1, 2, 3, 4, 5), (3, 4, 5, 0, 1, 2))
 
 PINNED_DELTA = {
     "unknot2": (UNKNOT2, {0: 1}),
@@ -238,6 +242,25 @@ def test_top_generators_match_the_row_sums_per_alexander_grading():
 def test_top_generators_refuse_links():
     with pytest.raises(NonIntegralAlexander, match="multi-component link"):
         top_generators(HOPF, 0)
+
+
+@pytest.mark.parametrize("g", [SPLIT_UNLINK3, TORUS33],
+                         ids=["split-unlink3", "torus33"])
+def test_knot_invariants_refuse_odd_links(g):
+    """Integral gradings do not make a knot: the component count refuses."""
+    assert type(alexander(g, tuple(range(6)))) is int  # the probe passes
+    for call in (lambda: top_generators(g, 0),
+                 lambda: hat_homology(g),
+                 lambda: hat_homology(g, "Z"),
+                 lambda: grid_alexander_polynomial(g),
+                 lambda: euler_characteristic(g),
+                 lambda: alexander_range(g),
+                 lambda: poset_stats(g),
+                 lambda: check_invariance(g, 1)):
+        with pytest.raises(NonIntegralAlexander,
+                           match="the grid presents a 3-component link, "
+                                 "not a knot"):
+            call()
 
 
 def test_top_half_table_is_the_full_table_restricted():
