@@ -34,12 +34,17 @@ KNOT8 = "8;X=6,4,3,1,5,0,7,2;O=0,1,7,6,2,3,5,4"
 # a three-component split unlink: knot invariants refuse it, while the
 # tilde table, which needs no knot, prints
 UNLINK3 = "6;X=0,1,2,3,4,5;O=1,0,3,2,5,4"
+# trefoil5 # trefoil5, a granny knot, at n = 10: the first factor's top
+# right X and the second's bottom left X exchange columns
+GRANNY10 = "10;X=0,1,2,3,5,4,6,7,8,9;O=2,3,4,0,1,7,8,9,5,6"
 
 COMMANDS = [
     "homology fixtures/unknot2.grid",
     "homology fixtures/trefoil5.grid",
     "homology fixtures/granny.grid",
     f"homology {KNOT8}",
+    f"homology {GRANNY10} --max-grid 10",
+    f"homology {GRANNY10} --max-grid 10 --coefficients z",
     "homology fixtures/fig8.grid --coefficients z",
     "homology fixtures/granny.grid --coefficients z",
     "homology fixtures/torus34.grid --coefficients z --json",

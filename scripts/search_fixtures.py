@@ -155,15 +155,13 @@ def find_trefoil() -> Grid:
             g = Grid(5, x_cols, o_cols)
             if link_components(g) != 1 or maslov(g, top) != 2:
                 continue
-            table = move_table(g)
+            table = move_table(g, cls="XO")
             adj = collections.defaultdict(set)
-            for i, row in enumerate(table.moves):
-                for rid, j in row:
-                    rect = table.rects[rid]
-                    if not rect.x_rows and not rect.o_rows:
-                        adj[i].add(j)
-                        adj[j].add(i)
-            start = table.gen_index[top]
+            for i, row in enumerate(table.targets):
+                for j in row:
+                    adj[i].add(j)
+                    adj[j].add(i)
+            start = table.gens.index(top)
             seen = {start}
             stack = [start]
             while stack:

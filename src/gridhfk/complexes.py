@@ -18,12 +18,13 @@ differential still squares to zero).  That is the truncated minus
 complex.  The tilde complex is its ``d = 1`` truncation, where only the
 rectangles meeting no marking at all survive, on bare generator labels.
 The builder reads the move table of just the class it counts: X-free
-rectangles for ``d > 1``, marking-free ones at ``d = 1``.  Over Z the
-builder asks for one generator's signs at a time, keyed by
-``Rectangle.id``, which every table of the grid shares: by default the
-closed form of ``signs.move_signs`` over the builder's own table, so only
-the sign solver (``check signs`` and the tests) reads the table of every
-empty rectangle.
+rectangles for ``d > 1``, marking-free ones at ``d = 1``.  A table holds
+each move as two ints, the target's index and ``Rectangle.id``, so the F2
+tilde rows are its target rows; ``Rectangle`` objects are made only when
+read.  Over Z the builder asks for one generator's signs at a time, in
+row order: by default the closed form of ``signs.move_signs`` over the
+builder's own table, so only the sign solver (``check signs`` and the
+tests) reads the table of every empty rectangle.
 
 Marking-free rectangles keep the Alexander grading, so the tilde complex
 also comes in a top half: the generators with ``A >= TOP_HALF_FLOOR``
@@ -36,16 +37,12 @@ from __future__ import annotations
 
 import itertools
 import sys
-from functools import partial
+from functools import cached_property, partial
 from math import factorial
-from typing import TYPE_CHECKING
 
 from .errors import ResourceLimit
-from .gradings import alexander, maslov, maslov_index, top_generators
+from .gradings import alexander, maslov, top_generators
 from .grid import Grid
-
-if TYPE_CHECKING:  # exact rationals load with the oracles that use them
-    from fractions import Fraction
 
 __all__ = [
     "Generator",
@@ -133,13 +130,6 @@ class Rectangle:
             for dc in range(self.width):
                 yield ((self.row + dr) % n, (self.col + dc) % n)
 
-    def coeffs(self) -> list[list[int]]:
-        n = self.n
-        grid = [[0] * n for _ in range(n)]
-        for r, c in self.cells():
-            grid[r][c] = 1
-        return grid
-
     @property
     def key(self) -> tuple[int, int, int, int]:
         return (self.col, self.row, self.width, self.height)
@@ -166,20 +156,23 @@ class MoveTable:
     ``cls`` names the markings a rectangle of the table may not cover:
     ``""`` keeps every empty rectangle (only the sign solver reads them all),
     ``"X"`` the X-free ones the minus differential counts, and ``"XO"``
-    the marking-free ones of the tilde differential.  ``moves[i]`` lists
-    ``(rect_id, target_generator_id)`` pairs in scan order: by the row of
-    the lower-left corner, then by height.  A class only drops moves, so
-    each class row is the full row filtered to it.  ``rects`` maps the id
-    of every rectangle of the class to the rectangle; ids are
-    ``Rectangle.id``, so they agree between classes.  ``gens`` is every
-    generator in lexicographic order, unless a subset closed under the
-    class's moves is given: for ``"XO"``, any union of Alexander gradings.
+    the marking-free ones of the tilde differential.  The moves out of
+    generator i are two parallel int rows in scan order (by the row of
+    the lower-left corner, then by height): ``targets[i]``, the targets'
+    indices, and ``rids[i]``, their ``Rectangle.id``.  A class only drops
+    moves, so each class row is the full row filtered to it.  ``gens`` is
+    every generator in lexicographic order, unless a subset closed under
+    the class's moves is given: for ``"XO"``, any union of Alexander
+    gradings.  ``rects`` (the class's rectangles by id) is built on first
+    read; ``moves`` zips the rows into ``(rect_id, target)`` pairs on
+    each read, for ``perfbench/tracer.py``.
 
     Out of generator ``x``, the rectangles with lower-left corner ``x[b]``
     are found by one scan upward over the heights, carrying the nearest
     point column met so far (the interior must stay left of it) and the
-    per-grid room for the class (see ``_scans``); the scan stops when
-    either leaves no width.
+    per-grid room for the class (see ``_scans``).  A target is looked up
+    by its key, one byte per row, which a swap of rows b and t moves by
+    ``(x[t] - x[b]) * (2**(8*b) - 2**(8*t))``.
     """
 
     def __init__(self, g: Grid, cls: str = "",
@@ -190,48 +183,59 @@ class MoveTable:
         if gens is None:
             _check_address_space(n, cls)
             gens = enumerate_generators(g, n)
-        self.grid = g
-        self.gens = gens
-        gen_index = self.gen_index = {x: i for i, x in enumerate(self.gens)}
-        scans, self.rects = _scans(g, cls)
-        self.moves: list[list[tuple[int, int]]] = []
-        for x in self.gens:
-            row = []
-            for b, scan in enumerate(scans):
-                a = x[b]
+        self.grid, self.gens, self.cls = g, gens, cls
+        scans = _scans(g, cls)
+        index = dict(zip(map(int.from_bytes, map(bytes, gens),
+                             itertools.repeat("little")), itertools.count()))
+        self.targets, self.rids = [], []
+        for key, x in zip(index, gens):
+            targets, rids = [], []
+            for scan, a in zip(scans, x):
                 bound = n
-                for t, cap, rid in scan[a]:
-                    if cap >= bound:
-                        if bound == 1:
-                            break
-                        cap = bound - 1
+                for t, cap, ids, shift in scan[a]:
                     c = x[t]
                     w = (c - a) % n
-                    if w <= cap:
-                        y = list(x)
-                        y[b], y[t] = c, a
-                        row.append((rid + w * (n - 1), gen_index[tuple(y)]))
                     if w < bound:
+                        if w <= cap:
+                            targets.append(index[key + (c - a) * shift])
+                            rids.append(ids[w])
+                        if w == 1:
+                            break
                         bound = w
-            self.moves.append(row)
+            self.targets.append(targets)
+            self.rids.append(rids)
+
+    @cached_property
+    def rects(self) -> dict[int, Rectangle]:
+        """The rectangles of the class, by ``Rectangle.id``."""
+        rects: dict[int, Rectangle] = {}
+        _scans(self.grid, self.cls, rects)
+        return rects
+
+    @property
+    def moves(self) -> list[list[tuple[int, int]]]:
+        """``(rect_id, target)`` rows, zipped from ``rids`` and ``targets``."""
+        return [list(zip(rids, targets))
+                for rids, targets in zip(self.rids, self.targets)]
 
 
-def _scans(g: Grid, cls: str):
-    """Per-grid steps of the upward scan, and the class's rectangles by id.
+def _scans(g: Grid, cls: str, rects: dict | None = None):
+    """Per-grid steps of the upward scan, and the class's rectangles.
 
     ``scans[b][a]`` lists, for each height h whose rows ``b..b+h-1`` leave
     room from column ``a`` for a rectangle covering no marking of the
-    class, the tuple ``(top row, widest such width, id of the width-0
-    rectangle)``; a rectangle's id is the last plus ``width * (n - 1)``.
-    The rectangles of the class with that corner and height are exactly
-    the widths up to the room, so the same loop makes them.
+    class, the tuple ``(top row t, widest such width, ids, shift)``, with
+    ``ids[w]`` the id of the width-w rectangle and ``shift`` the key step
+    ``2**(8*b) - 2**(8*t)``.  The rectangles of the class with that corner
+    and height are exactly the widths up to the room, so the same loop
+    puts them in ``rects``, if given.
     """
     n = g.n
     m = n - 1
     x_cols, o_cols = g.x_cols, g.o_cols
     marks = [cols for name, cols in (("X", x_cols), ("O", o_cols))
              if name in cls]
-    scans, rects = [], {}
+    scans = []
     for b in range(n):
         by_col = []
         for a in range(n):
@@ -241,26 +245,28 @@ def _scans(g: Grid, cls: str):
                 room = min([room] + [(cols[r] - a) % n for cols in marks])
                 if room == 0:
                     break
-                rid = (a * n + b) * m * m - m + h - 1
-                steps.append(((b + h) % n, room, rid))
-                rows = [(b + dr) % n for dr in range(h)]
-                for w in range(1, min(room, m) + 1):
-                    xs = tuple(r for r in rows if (x_cols[r] - a) % n < w)
-                    os_ = tuple(r for r in rows if (o_cols[r] - a) % n < w)
-                    rects[rid + w * m] = Rectangle(n, a, b, w, h, xs, os_)
+                t, rid = (r + 1) % n, (a * n + b) * m * m - m + h - 1
+                ids = tuple(range(rid, rid + n * m, m))
+                steps.append((t, room, ids, (1 << 8 * b) - (1 << 8 * t)))
+                if rects is not None:
+                    rows = [(b + dr) % n for dr in range(h)]
+                    for w in range(1, min(room, m) + 1):
+                        xs = tuple(r for r in rows if (x_cols[r] - a) % n < w)
+                        os_ = tuple(r for r in rows if (o_cols[r] - a) % n < w)
+                        rects[ids[w]] = Rectangle(n, a, b, w, h, xs, os_)
             by_col.append(steps)
         scans.append(by_col)
-    return scans, rects
+    return scans
 
 
 def _check_address_space(n: int, cls: str = "") -> None:
     """Refuse a move table that cannot fit under the RLIMIT_AS soft limit.
 
-    The bound is a floor: the n! generator tuples and, for the full table,
-    the n height-one rectangles out of each generator, which are always
-    empty, each stored as a (rect_id, target) pair in its row list.  A
-    height-one rectangle can cover a marking, so a class table is only
-    sure to hold the generators.
+    The bound is a floor: the n! generator tuples and their two rows and,
+    for the full table, the n height-one rectangles out of each
+    generator, which are always empty, as the room two rows grown by
+    append take for them.  A height-one rectangle can cover a marking, so
+    a class table is only sure to hold the generators and empty rows.
     """
     try:
         import resource
@@ -269,11 +275,9 @@ def _check_address_space(n: int, cls: str = "") -> None:
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft == resource.RLIM_INFINITY:
         return
-    per_gen = sys.getsizeof(tuple(range(n)))
-    if not cls:
-        per_gen += n * (sys.getsizeof((0, 0)) + sys.getsizeof([0])
-                        - sys.getsizeof([]))
-    need = factorial(n) * per_gen
+    row = [] if cls else [0 for _ in range(n)]  # over-allocated by append
+    need = factorial(n) * (sys.getsizeof(tuple(range(n)))
+                           + 2 * sys.getsizeof(row))
     if need > soft:
         raise ResourceLimit(
             f"the move table of a {n}x{n} grid needs over {need >> 20} MiB, "
@@ -293,9 +297,8 @@ def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID,
     _check_grid_size(g, max_grid)
     if top_half and cls != "XO":
         raise ValueError("only marking-free moves keep the Alexander grading")
-    if top_half:
-        return MoveTable(g, cls, top_generators(g, TOP_HALF_FLOOR))
-    return MoveTable(g, cls)
+    return MoveTable(g, cls,
+                     top_generators(g, TOP_HALF_FLOOR) if top_half else None)
 
 
 class Domain:
@@ -316,30 +319,8 @@ class Domain:
         self.y_to = y_to
         self.coeffs = coeffs
 
-    def verify_boundary(self) -> bool:
-        g, n = self.grid, self.grid.n
-        d = self.coeffs
-        for r in range(n):
-            for c in range(n):
-                corner = (d[r][c - 1] - d[r - 1][c - 1]) - (d[r][c] - d[r - 1][c])
-                want = (1 if self.y_to[r] == c else 0) - (1 if self.x_from[r] == c else 0)
-                if corner != want:
-                    return False
-        return True
-
     def is_positive(self) -> bool:
         return all(v >= 0 for row in self.coeffs for v in row)
-
-    def x_multiplicities(self) -> tuple[int, ...]:
-        g = self.grid
-        return tuple(self.coeffs[r][g.x_cols[r]] for r in range(g.n))
-
-    def o_multiplicities(self) -> tuple[int, ...]:
-        g = self.grid
-        return tuple(self.coeffs[r][g.o_cols[r]] for r in range(g.n))
-
-    def index(self) -> Fraction:
-        return maslov_index(self.coeffs, self.grid.n, self.x_from, self.y_to)
 
 
 def _staircase_coeffs(g: Grid, x: Generator, y: Generator) -> list[list[int]]:
@@ -415,19 +396,20 @@ class ChainComplex:
     """Bigraded complex with differential dropping M by 1, fixing A.
 
     ``labels[i]`` is a generator, or a ``(generator, exponents)`` pair for
-    the truncated minus version.  ``diff[i]`` lists ``(j, coeff)`` with
-    coefficients in F2 (always 1) or Z.  A complex is a mutable record
-    with no hash.
+    the truncated minus version.  ``diff[i]`` lists the indices of the
+    terms of element i's boundary.  Over Z, ``coeffs[i]`` lists their
+    coefficients in the same order; over F2 ``coeffs`` is None and every
+    term counts once.  A complex is a mutable record with no hash.
     """
 
     __slots__ = ("coefficients", "version", "grid", "truncation", "labels",
-                 "gradings", "diff")
+                 "gradings", "diff", "coeffs")
     __hash__ = None
 
     def __init__(self, coefficients: str, version: str, grid: Grid,
                  truncation: int | None, labels: list,
-                 gradings: list[tuple[int, int]],
-                 diff: list[list[tuple[int, int]]]):
+                 gradings: list[tuple[int, int]], diff: list[list[int]],
+                 coeffs: list[list[int]] | None = None):
         self.coefficients = coefficients
         self.version = version
         self.grid = grid
@@ -435,24 +417,33 @@ class ChainComplex:
         self.labels = labels
         self.gradings = gradings
         self.diff = diff
+        self.coeffs = coeffs
 
     def d_squared(self) -> dict[tuple[int, int], int]:
         """Nonzero entries of the squared differential (empty means d^2=0).
 
-        Accumulated one source row at a time, so only that row's paths of
-        length two are held at once.
+        Taken one source row at a time, so only that row's paths of length
+        two are held at once.  Over F2 an entry is the parity of its paths:
+        a row's sorted endpoints pair off exactly when all are zero.
         """
-        diff = self.diff
-        modulus = 2 if self.coefficients == "F2" else 0
+        diff, coeffs = self.diff, self.coeffs
         out: dict[tuple[int, int], int] = {}
-        for i, row in enumerate(diff):
+        if self.coefficients == "F2":
+            for i, row in enumerate(diff):
+                ks = []
+                for j in row:
+                    ks += diff[j]
+                ks.sort()
+                if ks[0::2] != ks[1::2]:
+                    out.update(((i, k), 1) for k in set(ks) if ks.count(k) & 1)
+            return out
+        terms = list(map(list, map(zip, diff, coeffs)))  # zipped once
+        for i, row in enumerate(terms):
             acc: dict[int, int] = {}
             for j, cj in row:
-                for k, ck in diff[j]:
+                for k, ck in terms[j]:
                     acc[k] = acc.get(k, 0) + cj * ck
             for k, v in acc.items():
-                if modulus:
-                    v %= modulus
                 if v:
                     out[(i, k)] = v
         return out
@@ -487,17 +478,17 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
     _check_basis_size(g, d, max_grid, max_elements)
     table = move_table(g, max_grid, cls, top_half)
     if coefficients == "F2":
-        ones = dict.fromkeys(table.rects, 1)
-        entry = lambda x: ones
+        entry = None
     elif signs is None:
         from .signs import move_signs  # signs imports this module
 
         entry = partial(move_signs, table)
     else:
-        entry = signs.row
-    labels, gradings, diff = _differential(table, d, entry, tilde)
+        entry = lambda i: list(map(signs.row(table.gens[i]).__getitem__,
+                                   table.rids[i]))
+    labels, gradings, diff, coeffs = _differential(table, d, entry, tilde)
     return ChainComplex(coefficients, version, g, None if tilde else d,
-                        labels, gradings, diff)
+                        labels, gradings, diff, coeffs)
 
 
 def _term_class(d: int) -> str:
@@ -512,48 +503,56 @@ def _term_class(d: int) -> str:
 
 
 def _differential(table: MoveTable, d: int, entry, bare: bool):
-    """Labels, bigradings and rows of the differential truncated at ``d``.
+    """Labels, bigradings, rows and coefficient rows of the differential
+    truncated at ``d``.
 
     The basis is each generator x of ``table`` times U^k, k in
     {0..d-1}^n, labelled ``(x, k)``, or ``x`` alone when ``bare``, in
-    one walk of the generators.  The terms come from the rectangles
-    meeting no X; a term is dropped when an exponent it bumps would reach
-    ``d``, so at d = 1 only the rectangles meeting no marking remain, and
-    ``table`` is the class ``_term_class(d)``.  ``entry(x)`` is asked once
-    per generator for a row indexed by rectangle id, and row ``i`` lists
-    ``(j, entry(x)[rect_id])`` for each term from element i to j.  The
-    differential keeps A, so a caller that wants one Alexander grading
-    restricts this basis to it.
+    one walk of the generators.  The terms come from the moves of
+    ``table``, of the class ``_term_class(d)``; a term is dropped when an
+    exponent it bumps would reach ``d``, so at d = 1 the rows are
+    ``table.targets``.  ``entry(i)``, if given (over Z), is asked once per
+    generator for a list parallel to ``table.rids[i]``, whose entries the
+    coefficient rows take.  The differential keeps A, so a caller that
+    wants one Alexander grading restricts this basis to it.
     """
-    g, gens, moves, rects = table.grid, table.gens, table.moves, table.rects
+    g, gens = table.grid, table.gens
     n = g.n
     size = d ** n
     exps = list(itertools.product(range(d), repeat=n))
     step = [d ** (n - 1 - r) for r in range(n)]  # basis shift of a U_r bump
-    labels, gradings = [], []
+    labels, gradings, units = [], [], [(sum(k), k) for k in exps]
     for x in gens:
         a, m = alexander(g, x), maslov(g, x)
-        for k in exps:
-            t = sum(k)
+        for t, k in units:
             labels.append(x if bare else (x, k))
             gradings.append((m - 2 * t, a - t))
+    coeffs = None if entry is None else list(map(entry, range(len(gens))))
+    if size == 1:
+        return labels, gradings, table.targets, coeffs
 
-    rows = []
-    for i, x in enumerate(gens):
-        coeff = entry(x)
-        for e, k in enumerate(exps):
-            row = []
-            for rid, j in moves[i]:
-                if size > 1:  # at d = 1 the target is the move's own int
-                    j = j * size + e
-                for r in rects[rid].o_rows:
-                    if k[r] == d - 1:
-                        break
-                    j += step[r]
-                else:
-                    row.append((j, coeff[rid]))
-            rows.append(row)
-    return labels, gradings, rows
+    # a term survives at k when no O row it bumps is at d - 1 in k
+    full = [sum(1 << r for r in range(n) if k[r] == d - 1) for k in exps]
+    survive, bumps = {}, {}
+    for rid, rect in table.rects.items():
+        mask = sum(1 << r for r in rect.o_rows)
+        if mask not in survive:
+            survive[mask] = [e for e, top in enumerate(full) if not mask & top]
+        bumps[rid] = survive[mask], sum(step[r] for r in rect.o_rows)
+    rows, coeff_rows = [], []
+    for i, (targets, rids) in enumerate(zip(table.targets, table.rids)):
+        block, signs = [[] for _ in exps], [[] for _ in exps]
+        cs = rids if coeffs is None else coeffs[i]  # unread over F2
+        for j, rid, c in zip(targets, rids, cs):
+            es, shift = bumps[rid]
+            j = j * size + shift
+            for e in es:
+                block[e].append(j + e)
+                if coeffs is not None:
+                    signs[e].append(c)
+        rows += block
+        coeff_rows += signs
+    return labels, gradings, rows, None if coeffs is None else coeff_rows
 
 
 def _check_coefficients(coefficients: str) -> None:

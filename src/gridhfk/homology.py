@@ -100,8 +100,7 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
     kept ones plus a boundary, which d_m kills: d_m has the same image from
     the kept rows as from all of C_m, hence the same rank and torsion.
     """
-    diff = complex_.diff
-    over_z = complex_.coefficients == "Z"
+    diff, coeffs = complex_.diff, complex_.coeffs
     rank_between: dict[int, int] = {}
     torsion_at: dict[int, tuple[int, ...]] = {}
     cancelled: list[int] = []
@@ -111,13 +110,10 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
         if m - 1 not in by_m:
             continue
         sources = [i for i in by_m[m] if pos_of[i] not in skip]
-        if over_z:
-            rows = []
-            for i in sources:
-                row = {pos_of[j]: c for j, c in diff[i] if c}
-                if row:
-                    rows.append(row)
-            factors = invariant_factors(rows, cancelled)
+        if complex_.coefficients == "Z":
+            rows = [{pos_of[j]: c for j, c in zip(diff[i], coeffs[i]) if c}
+                    for i in sources]
+            factors = invariant_factors(list(filter(None, rows)), cancelled)
             rank_between[m] = len(factors)
             tors = tuple(sorted(d for d in factors if d > 1))
             if tors:
@@ -126,9 +122,8 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
             masks = []
             for i in sources:
                 mask = 0
-                for j, c in diff[i]:
-                    if c & 1:
-                        mask |= 1 << pos_of[j]
+                for j in diff[i]:
+                    mask |= 1 << pos_of[j]
                 if mask:
                     masks.append(mask)
             rank_between[m] = f2_rank(masks, cancelled)
@@ -143,21 +138,26 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
 
 def homology(complex_: ChainComplex) -> BigradedRanks:
     """Rank (and over Z, torsion) of homology at every bigrading."""
-    gradings = complex_.gradings
+    gradings, diff = complex_.gradings, complex_.diff
+    over_z = complex_.coefficients == "Z"
+    coeffs = complex_.coeffs if over_z else None
     basis = range(len(complex_.labels))
-    if not len(complex_.diff) == len(gradings) == len(basis):
+    if not len(diff) == len(gradings) == len(basis):
         raise InvalidDifferential(
             f"complex has {len(basis)} labels, {len(gradings)} gradings and "
-            f"{len(complex_.diff)} differential rows")
-    for i, row in enumerate(complex_.diff):
+            f"{len(diff)} differential rows")
+    if over_z and list(map(len, coeffs or ())) != list(map(len, diff)):
+        raise InvalidDifferential("Z complex lacks a coefficient per term")
+    for i, row in enumerate(diff):
         mi, ai = gradings[i]
         block = (mi - 1, ai)
-        for j, c in row:
+        for j in row:
             if j not in basis:
                 raise InvalidDifferential(
                     f"differential term {i} -> {j} leaves the basis "
                     f"0..{len(basis) - 1}")
-            if c and gradings[j] != block:
+            if gradings[j] != block and (coeffs is None or any(
+                    c for k, c in zip(row, coeffs[i]) if k == j)):
                 raise InvalidDifferential(
                     f"differential term {i} -> {j} leaves the (M-1, A) block")
     if complex_.d_squared():

@@ -184,7 +184,9 @@ def _posets(g: Grid, mode: str, truncation: int | None, gradings,
     """Posets of the Alexander gradings ``gradings``, from one builder pass.
 
     The builder walks the whole basis once; the differential keeps A, so
-    each grading's elements carry their whole cover rows.
+    each grading's elements carry their whole cover rows.  The builder's
+    coefficient rows are the moves' rectangle ids, so each cover takes
+    its rectangle from the table's ``rects``.
     """
     d = _truncation(mode, truncation)
     cls = _term_class(d)
@@ -192,15 +194,18 @@ def _posets(g: Grid, mode: str, truncation: int | None, gradings,
     _check_basis_size(g, d, max_grid, max_elements,
                       "hat" if hat else "truncated minus")
     table = move_table(g, max_grid, cls)
-    elements, bigradings, rows = _differential(
-        table, d, lambda x: table.rects, hat)
+    rects = table.rects
+    elements, bigradings, rows, rids = _differential(
+        table, d, table.rids.__getitem__, hat)
     del table
+    covers = [list(zip(row, map(rects.__getitem__, ids)))
+              for row, ids in zip(rows, rids)]
     members = {a: [] for a in gradings}
     for i, (_, a) in enumerate(bigradings):
         if a in members:
             members[a].append(i)
     maslov = [m for m, _ in bigradings]
-    return [_make_poset(g, mode, truncation, a, elements, maslov, rows,
+    return [_make_poset(g, mode, truncation, a, elements, maslov, covers,
                         members[a]) for a in gradings]
 
 
@@ -234,18 +239,15 @@ def components(p: GridPoset, coefficients: str = "F2",
     _check_coefficients(coefficients)
     m = len(p.elements)
 
-    def coeffs(u: int) -> list[tuple[int, int]]:
-        """(lower, coefficient) pairs of element u's cover row."""
-        if coefficients != "Z":
-            return [(l, 1) for l, _ in p.covers[u]]
+    def coeffs(u: int) -> list[int]:
+        """Signs of element u's covers, in the order of its cover row."""
         x = p._split(p.elements[u])[0]
         if signs is None:
             from .signs import move_sign
 
-            return [(l, move_sign(x, rect.row, rect.top))
-                    for l, rect in p.covers[u]]
+            return [move_sign(x, r.row, r.top) for _, r in p.covers[u]]
         sign = signs.row(x)
-        return [(l, sign[rect.id]) for l, rect in p.covers[u]]
+        return [sign[rect.id] for _, rect in p.covers[u]]
 
     adjacent = [[l for l, _ in row] for row in p.covers]
     for u, row in enumerate(p.covers):
@@ -268,10 +270,12 @@ def components(p: GridPoset, coefficients: str = "F2",
                     stack.append(w)
         comp.sort()
         local = {v: i for i, v in enumerate(comp)}
-        rows = [[(local[l], c) for l, c in coeffs(v)] for v in comp]
+        rows = [[local[l] for l, _ in p.covers[v]] for v in comp]
         cc = ChainComplex(coefficients, p.mode, p.grid, p.truncation,
                           [p.elements[v] for v in comp],
-                          [(p.maslov[v], p.alexander) for v in comp], rows)
+                          [(p.maslov[v], p.alexander) for v in comp], rows,
+                          list(map(coeffs, comp)) if coefficients == "Z"
+                          else None)
         out.append((len(comp), homology(cc)))
     return out
 

@@ -124,11 +124,20 @@ def move_sign(x: Generator, b: int, t: int) -> int:
     return -1 if e & 1 else 1
 
 
-def move_signs(table: MoveTable, x: Generator) -> dict[int, int]:
-    """Closed-form signs of the moves of ``table`` out of ``x``, by rectangle id."""
-    rects = table.rects
-    return {rid: move_sign(x, rects[rid].row, rects[rid].top)
-            for rid, _ in table.moves[table.gen_index[x]]}
+def move_signs(table: MoveTable, i: int) -> list[int]:
+    """Closed-form signs of the moves of ``table`` out of generator ``i``.
+
+    One sign per entry of ``table.rids[i]``, in order; each rectangle id
+    names the two rows its move swaps.
+    """
+    x = table.gens[i]
+    n = len(x)
+    m = n - 1
+    out = []
+    for rid in table.rids[i]:
+        b = rid // (m * m) % n
+        out.append(move_sign(x, b, (b + rid % m + 1) % n))
+    return out
 
 
 class SignConstraints:
@@ -170,8 +179,8 @@ class SignConstraints:
     def closed_form(self) -> bytearray:
         """``move_sign``'s exponents of every move, numbered as the unknowns."""
         table = self.table
-        return bytearray(s < 0 for x in table.gens
-                         for s in move_signs(table, x).values())
+        return bytearray(s < 0 for i in range(len(table.gens))
+                         for s in move_signs(table, i))
 
 
 class SignAssignment:
@@ -204,12 +213,24 @@ class SignAssignment:
         return len(self.constraints)
 
     def row(self, x: Generator) -> dict[int, int]:
-        """Signs of the moves out of generator ``x``, keyed by rectangle id."""
-        i = self.table.gen_index[x]
+        """Signs of the moves out of generator ``x``, keyed by rectangle id.
+
+        The full table lists every generator in lexicographic order, so
+        x's row is its rank in that order.
+        """
+        i = _lex_rank(x)
         values = self.values
         return {rid: -1 if values[v] else 1
-                for v, (rid, _) in enumerate(self.table.moves[i],
-                                             self.first[i])}
+                for v, rid in enumerate(self.table.rids[i], self.first[i])}
+
+
+def _lex_rank(x: Generator) -> int:
+    """Position of the permutation ``x`` in the lexicographic order."""
+    rank, used = 0, 0
+    for i, c in enumerate(x):
+        rank = rank * (len(x) - i) + c - (used & ((1 << c) - 1)).bit_count()
+        used |= 1 << c
+    return rank
 
 
 def _thin_annulus_masks(n: int) -> tuple[set[int], set[int]]:
@@ -295,10 +316,10 @@ def sign_constraints(g: Grid,
     """The square and annulus axioms over the move table of ``g``."""
     table = move_table(g, max_grid)
     n = g.n
-    moves = table.moves
+    targets, rids = table.targets, table.rids
 
     # The unknown of the t-th move out of generator i is first[i] + t.
-    first = list(accumulate(map(len, moves), initial=0))
+    first = list(accumulate(map(len, targets), initial=0))
 
     rect_masks = {}
     for rid, rect in table.rects.items():
@@ -317,11 +338,12 @@ def sign_constraints(g: Grid,
         cons_off.append(len(cons_vars))
         parity.append(par)
 
-    for i, row in enumerate(moves):
+    for i, row in enumerate(targets):
         groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for v1, (rid1, j) in enumerate(row, first[i]):
+        for v1, (rid1, j) in enumerate(zip(rids[i], row), first[i]):
             m1 = rect_masks[rid1]
-            for v2, (rid2, k) in enumerate(moves[j], first[j]):
+            for v2, (rid2, k) in enumerate(zip(rids[j], targets[j]),
+                                           first[j]):
                 key = (k, m1 + rect_masks[rid2])
                 groups.setdefault(key, []).append((v1, v2, j))
         for (k, mask), entries in groups.items():
@@ -354,19 +376,18 @@ def sign_constraints(g: Grid,
 def solve_signs(g: Grid, max_grid: int = DEFAULT_MAX_GRID) -> SignAssignment:
     """Solve the square and annulus axioms over the move table of ``g``."""
     cons = sign_constraints(g, max_grid)
-    table, first = cons.table, cons.first
-    moves = table.moves
+    targets, first = cons.table.targets, cons.first
 
     # Gauge: breadth-first spanning tree over the move graph, one move per
     # newly reached generator pinned to +1.
     seeds: list[int] = []
-    seen = bytearray(len(moves))
+    seen = bytearray(len(targets))
     seen[0] = 1
     frontier = [0]
     while frontier:
         nxt: list[int] = []
         for i in frontier:
-            for v, (_, j) in enumerate(moves[i], first[i]):
+            for v, j in enumerate(targets[i], first[i]):
                 if not seen[j]:
                     seen[j] = 1
                     seeds.append(v)

@@ -57,3 +57,40 @@ def knot_grids(draw, max_n=6):
     g = Grid(n, x_cols, o_cols)
     assume(link_components(g) == 1)
     return g
+
+
+def _turn(g: Grid, row: int, to: int) -> Grid:
+    """``g`` with its rows and columns turned cyclically, which keeps the
+    knot, so that the X in ``row`` sits at row and column ``to``."""
+    n, dr, dc = g.n, to - row, to - g.x_cols[row]
+    x_cols, o_cols = [0] * n, [0] * n
+    for r in range(n):
+        x_cols[(r + dr) % n] = (g.x_cols[r] + dc) % n
+        o_cols[(r + dr) % n] = (g.o_cols[r] + dc) % n
+    return Grid(n, tuple(x_cols), tuple(o_cols))
+
+
+def connected_sum(g1: Grid, g2: Grid, row1: int = 0, row2: int = 0) -> Grid:
+    """A grid of the connected sum of the knots of ``g1`` and ``g2``.
+
+    The X of row ``row1`` of ``g1`` is turned to the top right corner and
+    that of row ``row2`` of ``g2`` to the bottom left one (``_turn``).
+    Both grids then sit on the diagonal of an (n1 + n2) grid, ``g2``'s
+    columns shifted by n1, and the two X markings exchange columns.  The
+    band that joins the knots runs between the two corners and crosses
+    no other strand.  It makes one full twist, which turning one summand
+    over undoes.
+    """
+    n1 = g1.n
+    g1, g2 = _turn(g1, row1, n1 - 1), _turn(g2, row2, 0)
+    x_cols = list(g1.x_cols) + [c + n1 for c in g2.x_cols]
+    o_cols = list(g1.o_cols) + [c + n1 for c in g2.o_cols]
+    x_cols[n1 - 1], x_cols[n1] = x_cols[n1], x_cols[n1 - 1]
+    return Grid(n1 + g2.n, tuple(x_cols), tuple(o_cols))
+
+
+def torus_grid(p: int, q: int) -> Grid:
+    """The (p + q) grid of the torus knot T(p, q): diagonal X, O shifted
+    by p.  It presents the mirror of the positive T(p, q)."""
+    n = p + q
+    return Grid(n, tuple(range(n)), tuple((c + p) % n for c in range(n)))

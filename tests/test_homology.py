@@ -12,11 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG8, TREFOIL5
-from gridhfk.complexes import (
-    ChainComplex,
-    build_minus_complex,
-    build_tilde_complex,
-)
+from gridhfk.complexes import build_minus_complex, build_tilde_complex
 from gridhfk.errors import InexactDivision, InvalidDifferential
 from gridhfk.grid import Grid, random_knot_grid
 from gridhfk.homology import (
@@ -27,6 +23,12 @@ from gridhfk.homology import (
     poincare_string,
 )
 from gridhfk.linalg import f2_rank, invariant_factors, smith_normal_form
+from oracles import (
+    complex_from_terms,
+    invariant_form,
+    reference_d_squared,
+    terms,
+)
 
 UNKNOT2 = Grid(2, (0, 1), (1, 0))
 
@@ -189,7 +191,7 @@ def _z_blocks(cx):
     for (m, a), sources in sorted(by_ma.items()):
         targets = by_ma.get((m - 1, a))
         if targets:
-            rows = [{pos[j]: c for j, c in cx.diff[i]} for i in sources]
+            rows = [{pos[j]: c for j, c in terms(cx, i)} for i in sources]
             yield (m, a), rows, len(targets)
 
 
@@ -326,16 +328,6 @@ def test_blocks_skip_rows_cancelled_by_the_block_above(monkeypatch):
     assert sum(f2_rows) <= 15000
 
 
-def _invariant_form(orders):
-    """Invariant factors (> 1) of the direct sum of cyclic groups Z/k."""
-    a = sorted(orders)
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            g = gcd(a[i], a[j])
-            a[i], a[j] = g, a[i] * a[j] // g
-    return tuple(sorted(d for d in a if d > 1))
-
-
 def _random_torsion_complex(rng):
     """A seeded Z complex with known homology.
 
@@ -388,9 +380,8 @@ def _random_torsion_complex(rng):
             for old in order]
     expected = {}
     for ma in set(free) | set(torsion):
-        expected[ma] = (free.get(ma, 0), _invariant_form(torsion.get(ma, ())))
-    cx = ChainComplex("Z", "tilde", UNKNOT2, None, list(range(n)), gradings,
-                      diff)
+        expected[ma] = (free.get(ma, 0), invariant_form(torsion.get(ma, ())))
+    cx = complex_from_terms("Z", list(range(n)), gradings, diff)
     return cx, expected
 
 
@@ -401,8 +392,8 @@ def test_random_complexes_with_known_torsion():
     for _ in range(2000):
         cx, expected = _random_torsion_complex(rng)
         assert homology(cx).blocks == expected, (cx.gradings, cx.diff)
-    assert _invariant_form([2, 3]) == (6,)
-    assert _invariant_form([2, 4, 6]) == (2, 2, 12)
+    assert invariant_form([2, 3]) == (6,)
+    assert invariant_form([2, 4, 6]) == (2, 2, 12)
 
 
 def test_unknot_tilde_homology():
@@ -422,21 +413,21 @@ def test_trefoil_minus_d3_over_z_is_torsion_free_and_matches_f2():
 
 
 def test_zero_differential_two_generators():
-    cx = ChainComplex("F2", "tilde", UNKNOT2, None, ["x", "y"],
-                      [(0, 0), (-1, -1)], [[], []])
+    cx = complex_from_terms("F2", ["x", "y"],
+                            [(0, 0), (-1, -1)], [[], []])
     ranks = homology(cx)
     assert ranks.free(0, 0) == 1 and ranks.free(-1, -1) == 1
 
 
 def test_identity_block_is_acyclic():
-    cx = ChainComplex("F2", "tilde", UNKNOT2, None, ["x", "y"],
-                      [(1, 0), (0, 0)], [[(1, 1)], []])
+    cx = complex_from_terms("F2", ["x", "y"],
+                            [(1, 0), (0, 0)], [[(1, 1)], []])
     assert homology(cx).blocks == {}
 
 
 def test_torsion_reported_not_dropped():
-    cx = ChainComplex("Z", "tilde", UNKNOT2, None, ["x", "y"],
-                      [(1, 0), (0, 0)], [[(1, 2)], []])
+    cx = complex_from_terms("Z", ["x", "y"],
+                            [(1, 0), (0, 0)], [[(1, 2)], []])
     ranks = homology(cx)
     assert ranks.blocks == {(0, 0): (0, (2,))}
     assert ranks.has_torsion
@@ -451,10 +442,10 @@ def test_f2_rank_at_least_z_free_rank():
     gradings = [(1, 0), (0, 0)]
     for coeff, expect_free, expect_tors in [(1, 0, ()), (2, 0, (2,)),
                                             (0, 1, ())]:
-        z_cx = ChainComplex("Z", "tilde", UNKNOT2, None, labels, gradings,
-                            [[(1, coeff)] if coeff else [], []])
-        f_cx = ChainComplex("F2", "tilde", UNKNOT2, None, labels, gradings,
-                            [[(1, coeff)] if coeff else [], []])
+        z_cx = complex_from_terms("Z", labels, gradings,
+                                  [[(1, coeff)] if coeff else [], []])
+        f_cx = complex_from_terms("F2", labels, gradings,
+                                  [[(1, coeff)] if coeff else [], []])
         z_ranks = homology(z_cx)
         f_ranks = homology(f_cx)
         assert z_ranks.free(0, 0) == expect_free
@@ -476,26 +467,24 @@ def test_basis_reorder_invariance():
     inv = {old: new for new, old in enumerate(order)}
     labels = [cx.labels[i] for i in order]
     gradings = [cx.gradings[i] for i in order]
-    diff = [[(inv[j], c) for j, c in cx.diff[i]] for i in order]
-    shuffled = ChainComplex(cx.coefficients, cx.version, g, None, labels,
-                            gradings, diff)
+    diff = [[(inv[j], c) for j, c in terms(cx, i)] for i in order]
+    shuffled = complex_from_terms(cx.coefficients, labels, gradings, diff, g)
     assert homology(shuffled).blocks == base
 
 
 def test_sign_conjugation_invariance():
     # Flipping the sign of basis vectors conjugates the differential by a
     # diagonal +-1 matrix; homology must not move.
-    cx = ChainComplex("Z", "tilde", UNKNOT2, None, list("abcd"),
-                      [(1, 0), (0, 0), (0, 0), (-1, 0)],
-                      [[(1, 1), (2, 1)], [(3, 1)], [(3, -1)], []])
+    cx = complex_from_terms("Z", list("abcd"),
+                            [(1, 0), (0, 0), (0, 0), (-1, 0)],
+                            [[(1, 1), (2, 1)], [(3, 1)], [(3, -1)], []])
     base = homology(cx).blocks
     rng = random.Random(3)
     for _ in range(5):
         eps = [rng.choice((1, -1)) for _ in cx.labels]
-        diff = [[(j, c * eps[i] * eps[j]) for j, c in row]
-                for i, row in enumerate(cx.diff)]
-        flipped = ChainComplex("Z", "tilde", UNKNOT2, None, cx.labels,
-                               cx.gradings, diff)
+        diff = [[(j, c * eps[i] * eps[j]) for j, c in terms(cx, i)]
+                for i in range(len(cx.diff))]
+        flipped = complex_from_terms("Z", cx.labels, cx.gradings, diff)
         assert homology(flipped).blocks == base
 
 
@@ -513,18 +502,18 @@ def test_rank_bounded_by_block_dimension():
 
 # A term off the (M-1, A) block, and a chain x -> y -> z with d^2 != 0.
 CORRUPTED = {
-    "off_block": ChainComplex("F2", "tilde", UNKNOT2, None, ["x", "y"],
-                              [(0, 0), (0, 0)], [[(1, 1)], []]),
-    "d_squared": ChainComplex("Z", "tilde", UNKNOT2, None, ["x", "y", "z"],
-                              [(2, 0), (1, 0), (0, 0)],
-                              [[(1, 1)], [(2, 1)], []]),
+    "off_block": complex_from_terms("F2", ["x", "y"],
+                                    [(0, 0), (0, 0)], [[(1, 1)], []]),
+    "d_squared": complex_from_terms("Z", ["x", "y", "z"],
+                                    [(2, 0), (1, 0), (0, 0)],
+                                    [[(1, 1)], [(2, 1)], []]),
 }
 
 
 @pytest.mark.parametrize("target", [2, -1])
 def test_differential_target_outside_the_basis_raises(target):
-    cx = ChainComplex("Z", "tilde", UNKNOT2, None, ["x", "y"],
-                      [(1, 0), (0, 0)], [[(target, 1)], []])
+    cx = complex_from_terms("Z", ["x", "y"],
+                            [(1, 0), (0, 0)], [[(target, 1)], []])
     with pytest.raises(InvalidDifferential, match=f"0 -> {target} "):
         homology(cx)
 
@@ -536,7 +525,7 @@ def test_differential_target_outside_the_basis_raises(target):
 ], ids=["short_diff", "short_gradings", "long_gradings"])
 def test_lengths_that_differ_from_the_labels_raise(gradings, diff):
     """Two labels x -> y: a row or grading too few or too many is named."""
-    cx = ChainComplex("Z", "tilde", UNKNOT2, None, ["x", "y"], gradings, diff)
+    cx = complex_from_terms("Z", ["x", "y"], gradings, diff)
     with pytest.raises(InvalidDifferential,
                        match=f"2 labels, {len(gradings)} gradings and "
                              f"{len(diff)} differential rows"):
@@ -548,12 +537,65 @@ def test_d_squared_lists_each_nonzero_entry():
     diff = [[(1, 1), (2, 1)], [(3, 1)], [(3, 1)], [(4, 2)], []]
     gradings = [(3, 0), (2, 0), (2, 0), (1, 0), (0, 0)]
     labels = ["x", "y", "w", "z", "v"]
-    over_z = ChainComplex("Z", "tilde", UNKNOT2, None, labels, gradings, diff)
-    over_f2 = ChainComplex("F2", "tilde", UNKNOT2, None, labels, gradings,
-                           diff)
+    over_z = complex_from_terms("Z", labels, gradings, diff)
+    over_f2 = complex_from_terms("F2", labels, gradings, diff)
     assert over_z.d_squared() == {(0, 3): 2, (1, 4): 2, (2, 4): 2}
     assert over_f2.d_squared() == {}
     assert CORRUPTED["d_squared"].d_squared() == {(0, 2): 1}
+    for cx in (over_z, over_f2, *CORRUPTED.values()):
+        assert cx.d_squared() == reference_d_squared(cx)
+
+
+def test_f2_d_squared_counts_path_parity():
+    """Three paths to one endpoint leave 1 over F2; two cancel, even when
+    a row repeats a target."""
+    gradings = [(2, 0), (1, 0), (1, 0), (1, 0), (0, 0), (0, 0)]
+    rows = [[(1, 1), (2, 1), (3, 1)], [(4, 1), (5, 1)], [(4, 1)],
+            [(4, 1), (5, 1), (5, 1), (5, 1)], [], []]
+    cx = complex_from_terms("F2", "abcdef", gradings, rows)
+    assert cx.d_squared() == {(0, 4): 1} == reference_d_squared(cx)
+
+
+@st.composite
+def _small_complexes(draw):
+    """Random rows over 1..8 elements, repeated targets and zero
+    coefficients allowed, over either ring."""
+    size = draw(st.integers(1, 8))
+    coefficients = draw(st.sampled_from(["F2", "Z"]))
+    term = st.tuples(st.integers(0, size - 1), st.integers(-3, 3))
+    rows = draw(st.lists(st.lists(term, max_size=5), min_size=size,
+                         max_size=size))
+    return complex_from_terms(coefficients, range(size), [(0, 0)] * size,
+                              rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_complexes())
+def test_d_squared_matches_the_reference_on_random_complexes(cx):
+    assert cx.d_squared() == reference_d_squared(cx)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_tilde_complex(FIG8),
+    lambda: build_tilde_complex(FIG8, "Z"),
+    lambda: build_tilde_complex(TREFOIL5, top_half=True),
+    lambda: build_tilde_complex(TREFOIL5, "Z", top_half=True),
+    lambda: build_minus_complex(TREFOIL5, 2),
+    lambda: build_minus_complex(TREFOIL5, 2, "Z"),
+], ids=["fig8-tilde-f2", "fig8-tilde-z", "trefoil5-hat-f2", "trefoil5-hat-z",
+        "trefoil5-minus-d2-f2", "trefoil5-minus-d2-z"])
+def test_d_squared_matches_the_reference_on_real_complexes(build):
+    """Zero on the complex as built; with one term dropped from every
+    tenth row, the same nonzero entries as the reference."""
+    cx = build()
+    assert cx.d_squared() == reference_d_squared(cx) == {}
+    for i in range(0, len(cx.diff), 10):
+        if cx.diff[i]:
+            cx.diff[i] = cx.diff[i][1:]
+            if cx.coeffs is not None:
+                cx.coeffs[i] = cx.coeffs[i][1:]
+    broken = cx.d_squared()
+    assert broken and broken == reference_d_squared(cx)
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTED))
@@ -577,7 +619,7 @@ def test_corrupted_differential_raises_under_optimize():
         script += (
             f"cx = ChainComplex({cx.coefficients!r}, 'tilde', "
             f"Grid(2, (0, 1), (1, 0)), None, {cx.labels!r}, "
-            f"{cx.gradings!r}, {cx.diff!r})\n"
+            f"{cx.gradings!r}, {cx.diff!r}, {cx.coeffs!r})\n"
             "try:\n"
             "    homology(cx)\n"
             "except InvalidDifferential:\n"

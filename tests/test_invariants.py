@@ -364,4 +364,4 @@ def test_knot8_f2_hat():
     """
     assert hat_homology(KNOT8, "F2").blocks == {(0, 0): (1, ())}
     assert len(move_table(KNOT8, cls="XO", top_half=True).gens) == 4676
-    assert sum(map(len, move_table(KNOT8, cls="XO").moves)) == 131_520
+    assert sum(map(len, move_table(KNOT8, cls="XO").targets)) == 131_520

@@ -61,7 +61,7 @@ def test_full_table_matches_definition(g):
     table = move_table(g)
     for i, x in enumerate(table.gens):
         got = [(table.rects[rid].key, table.gens[j])
-               for rid, j in table.moves[i]]
+               for rid, j in zip(table.rids[i], table.targets[i])]
         assert Counter(got) == Counter(_reference_moves(g, x))
 
 
@@ -84,9 +84,34 @@ def test_class_tables_are_the_full_table_filtered(g):
         assert isinstance(table.rects, dict)
         assert _marked(table.rects) == _marked(
             {rid: r for rid, r in full.rects.items() if _keeps(cls, r)})
-        for row, full_row in zip(table.moves, full.moves):
-            assert row == [(rid, j) for rid, j in full_row
-                           if _keeps(cls, full.rects[rid])]
+        for i, full_rids in enumerate(full.rids):
+            kept = [t for t, rid in enumerate(full_rids)
+                    if _keeps(cls, full.rects[rid])]
+            assert table.rids[i] == [full_rids[t] for t in kept]
+            assert table.targets[i] == [full.targets[i][t] for t in kept]
+
+
+@pytest.mark.parametrize("cls", ["", "X", "XO"])
+def test_moves_view_pairs_ids_with_targets(cls):
+    """``moves`` is rebuilt from the two rows on each read; popping from
+    the view leaves the table as it was."""
+    table = move_table(FIG8, cls=cls)
+    assert table.moves == [list(zip(rids, targets))
+                           for rids, targets in zip(table.rids, table.targets)]
+    i = next(i for i, rids in enumerate(table.rids) if rids)
+    table.moves[i].pop()
+    assert len(table.moves[i]) == len(table.rids[i]) == len(table.targets[i])
+
+
+def test_rectangles_are_built_on_first_read():
+    """The F2 tilde rows are the table's own target rows, and no
+    ``Rectangle`` is made until something reads ``rects``."""
+    table = move_table(TREFOIL5, cls="XO")
+    rows = complexes._differential(table, 1, None, True)[2]
+    assert rows is table.targets
+    assert "rects" not in vars(table)
+    assert table.rects is table.rects
+    assert {rid for rids in table.rids for rid in rids} <= set(table.rects)
 
 
 def test_unknown_class_refused():
@@ -96,8 +121,8 @@ def test_unknown_class_refused():
 
 def test_move_table_checks_the_grid_ceiling():
     """Each call builds its own table; ``max_grid`` only gates the build."""
-    table = move_table(TREFOIL5)
-    assert move_table(TREFOIL5, 5).moves == table.moves
+    table, again = move_table(TREFOIL5), move_table(TREFOIL5, 5)
+    assert (again.rids, again.targets) == (table.rids, table.targets)
     with pytest.raises(ResourceLimit, match="ceiling"):
         move_table(TREFOIL5, 4)
 
@@ -155,7 +180,8 @@ def test_z_poset_stats_with_solved_signs_builds_two_tables(built):
 
 
 def test_address_space_floor_per_class(monkeypatch):
-    """At n = 9 the full floor is about 238 MiB, the generators alone 39."""
+    """At n = 9 the full floor is about 166 MiB; the generators and their
+    empty rows alone take 78."""
     import resource
 
     monkeypatch.setattr(resource, "getrlimit",

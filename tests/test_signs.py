@@ -31,8 +31,10 @@ from gridhfk.invariants import hat_homology
 from gridhfk.poset import poset_stats
 from gridhfk.signs import (
     SignAssignment,
+    _lex_rank,
     _propagate,
     move_sign,
+    move_signs,
     sign_constraints,
     solve_signs,
 )
@@ -51,10 +53,11 @@ def _annulus_pair(sa, i, *, col=None, row=None):
             return rect.width == 1 and rect.col == col
         return rect.height == 1 and rect.row == row
 
-    t1, j = next((t, j) for t, (rid, j) in enumerate(table.moves[i])
-                 if in_band(rid))
-    t2 = next(t for t, (rid, k) in enumerate(table.moves[j])
-              if in_band(rid) and k == i)
+    rids, targets = table.rids, table.targets
+    t1 = next(t for t, rid in enumerate(rids[i]) if in_band(rid))
+    j = targets[i][t1]
+    t2 = next(t for t, rid in enumerate(rids[j])
+              if in_band(rid) and targets[j][t] == i)
     return sa.first[i] + t1, sa.first[j] + t2
 
 
@@ -98,8 +101,8 @@ def test_flip_at_one_generator_is_still_valid():
     table, first = sa.table, sa.first
     target = 7
     flipped = bytearray(sa.values)
-    for i, row in enumerate(table.moves):
-        for v, (_, j) in enumerate(row, first[i]):
+    for i, row in enumerate(table.targets):
+        for v, j in enumerate(row, first[i]):
             if (i == target) != (j == target):
                 flipped[v] ^= 1
     sa2 = SignAssignment(sa.constraints, flipped)
@@ -147,17 +150,35 @@ def test_tilde_complex_is_minus_at_d1(n):
     g = random_knot_grid(n, random.Random(41 + n))
     table = move_table(g)
     marking_free = [
-        [j for rid, j in row
+        [j for rid, j in zip(rids, targets)
          if not table.rects[rid].x_rows and not table.rects[rid].o_rows]
-        for row in table.moves]
+        for rids, targets in zip(table.rids, table.targets)]
     for coeff, signs in (("F2", None), ("Z", solve_signs(g))):
         tilde = build_tilde_complex(g, coeff, signs)
         minus = build_minus_complex(g, 1, coeff, signs)
-        assert [[j for j, _ in row] for row in tilde.diff] == marking_free
+        assert tilde.diff == marking_free
         assert [(x, k) for x, k in minus.labels] == \
             [(x, (0,) * n) for x in tilde.labels]
         assert minus.gradings == tilde.gradings
         assert minus.diff == tilde.diff
+        assert minus.coeffs == tilde.coeffs
+
+
+@pytest.mark.parametrize("cls", ["", "X", "XO"])
+def test_move_signs_read_the_rows_off_the_rectangle_ids(cls):
+    """One sign per move of the row, as ``move_sign`` gives it for the
+    rows the move's rectangle swaps."""
+    table = move_table(FIG8, cls=cls)
+    for i, x in enumerate(table.gens):
+        rects = map(table.rects.__getitem__, table.rids[i])
+        assert move_signs(table, i) == [move_sign(x, r.row, r.top)
+                                        for r in rects]
+
+
+def test_lex_rank_is_the_position_in_the_full_table():
+    """``SignAssignment.row`` finds a generator's row by this rank."""
+    gens = move_table(TREFOIL5).gens
+    assert [_lex_rank(x) for x in gens] == list(range(len(gens)))
 
 
 def test_dropped_move_raises_under_optimize():
@@ -176,7 +197,8 @@ def test_dropped_move_raises_under_optimize():
         "assert False, 'asserts must be stripped here'\n"
         "g = Grid(5, (0, 1, 2, 3, 4), (2, 3, 4, 0, 1))\n"
         "table = move_table(g)\n"
-        "table.moves[7].pop()\n"
+        "table.rids[7].pop()\n"
+        "table.targets[7].pop()\n"
         "gridhfk.signs.move_table = lambda *args: table\n"
         "try:\n"
         "    solve_signs(g)\n"

@@ -269,10 +269,12 @@ def test_top_half_table_is_the_full_table_restricted():
     top = move_table(g, cls="XO", top_half=True)
     assert {rid: (r, r.x_rows, r.o_rows) for rid, r in top.rects.items()} \
         == {rid: (r, r.x_rows, r.o_rows) for rid, r in full.rects.items()}
+    position = {x: i for i, x in enumerate(full.gens)}
     for i, x in enumerate(top.gens):
-        row = full.moves[full.gen_index[x]]
-        assert [(rid, top.gens[j]) for rid, j in top.moves[i]] == \
-            [(rid, full.gens[j]) for rid, j in row]
+        k = position[x]
+        assert top.rids[i] == full.rids[k]
+        assert [top.gens[j] for j in top.targets[i]] == \
+            [full.gens[j] for j in full.targets[k]]
 
 
 def test_top_half_table_only_for_marking_free_moves():
