@@ -37,6 +37,8 @@ UNLINK3 = "6;X=0,1,2,3,4,5;O=1,0,3,2,5,4"
 # trefoil5 # trefoil5, a granny knot, at n = 10: the first factor's top
 # right X and the second's bottom left X exchange columns
 GRANNY10 = "10;X=0,1,2,3,5,4,6,7,8,9;O=2,3,4,0,1,7,8,9,5,6"
+# T(3,7) at n = 10: its Z hat signs 1,490,320 moves
+T37 = "10;X=0,1,2,3,4,5,6,7,8,9;O=3,4,5,6,7,8,9,0,1,2"
 
 COMMANDS = [
     "homology fixtures/unknot2.grid",
@@ -45,6 +47,7 @@ COMMANDS = [
     f"homology {KNOT8}",
     f"homology {GRANNY10} --max-grid 10",
     f"homology {GRANNY10} --max-grid 10 --coefficients z",
+    f"homology {T37} --max-grid 10 --coefficients z",
     "homology fixtures/fig8.grid --coefficients z",
     "homology fixtures/granny.grid --coefficients z",
     "homology fixtures/torus34.grid --coefficients z --json",

@@ -22,7 +22,8 @@ rectangles for ``d > 1``, marking-free ones at ``d = 1``.  A table holds
 each move as two ints, the target's index and ``Rectangle.id``, so the F2
 tilde rows are its target rows; ``Rectangle`` objects are made only when
 read.  Over Z the builder asks for one generator's signs at a time, in
-row order: by default the closed form of ``signs.move_signs`` over the
+row order: by default the closed form of one ``signs.signer``, which
+keeps each rectangle id's fixed term while the builder runs, over the
 builder's own table, so only the sign solver (``check signs`` and the
 tests) reads the table of every empty rectangle.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from functools import cached_property, partial
+from functools import cached_property
 from math import factorial
 
 from .errors import ResourceLimit
@@ -456,7 +457,7 @@ def build_tilde_complex(g: Grid, coefficients: str = "F2", signs=None,
 
     With ``top_half``, only its direct summand on the generators with
     ``A >= TOP_HALF_FLOOR``.  Over Z the signs are the closed form of
-    ``signs.move_signs`` unless ``signs`` gives a solved assignment.
+    ``signs.signer`` unless ``signs`` gives a solved assignment.
     """
     return _complex(g, 1, coefficients, signs, "tilde", max_grid, None,
                     top_half)
@@ -480,9 +481,10 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
     if coefficients == "F2":
         entry = None
     elif signs is None:
-        from .signs import move_signs  # signs imports this module
+        from .signs import signer  # signs imports this module
 
-        entry = partial(move_signs, table)
+        sign, gens, rids = signer(g.n), table.gens, table.rids
+        entry = lambda i: sign(gens[i], rids[i])
     else:
         entry = lambda i: list(map(signs.row(table.gens[i]).__getitem__,
                                    table.rids[i]))

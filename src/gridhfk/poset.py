@@ -233,21 +233,24 @@ def components(p: GridPoset, coefficients: str = "F2",
     Each component is an honest direct summand of the chain complex, so
     its homology is computed by restricting the differential to it.  Over
     Z each cover takes the sign of its move out of the element's
-    generator: ``move_sign``'s closed form, unless ``signs`` gives a
-    solved assignment.
+    generator: the closed form of ``signs.signer``, asked once per
+    element for its whole cover row, unless ``signs`` gives a solved
+    assignment.
     """
     _check_coefficients(coefficients)
     m = len(p.elements)
+    if signs is None and coefficients == "Z":
+        from .signs import signer
+
+        sign = signer(p.grid.n)
 
     def coeffs(u: int) -> list[int]:
         """Signs of element u's covers, in the order of its cover row."""
         x = p._split(p.elements[u])[0]
         if signs is None:
-            from .signs import move_sign
-
-            return [move_sign(x, r.row, r.top) for _, r in p.covers[u]]
-        sign = signs.row(x)
-        return [sign[rect.id] for _, rect in p.covers[u]]
+            return sign(x, [rect.id for _, rect in p.covers[u]])
+        row = signs.row(x)
+        return [row[rect.id] for _, rect in p.covers[u]]
 
     adjacent = [[l for l, _ in row] for row in p.covers]
     for u, row in enumerate(p.covers):

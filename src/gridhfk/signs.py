@@ -18,6 +18,10 @@ the sign compares that product with the lift of the target, corrected by
 the diagonal cells the rectangle covers.  It reads nothing but x and the
 two rows, so every complex asks for the signs of its own moves, one
 generator at a time, and no path reads the table of every rectangle.
+``signer`` is the one place that computes it: a generator's inversion
+masks are built once for all its moves, and a rectangle's wrap and
+diagonal term once for all generators, so a move pays only for the rows
+between the two it swaps.
 
 The axioms themselves are F2 equations over that table: one unknown per
 move, numbered by the move's position in the table's rows, and one
@@ -30,7 +34,6 @@ meet every constraint, and the tests use it as the oracle.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 from itertools import accumulate
 
 from .complexes import DEFAULT_MAX_GRID, Generator, MoveTable, move_table
@@ -43,31 +46,9 @@ __all__ = [
     "move_sign",
     "move_signs",
     "sign_constraints",
+    "signer",
     "solve_signs",
 ]
-
-
-@lru_cache(maxsize=1)
-def _inversions(x: Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-generator tables of ``move_sign``, kept for the next move out of x.
-
-    ``inv[v]`` is the bitmask of the values that form an inversion with
-    ``v`` in ``x``, and ``above[m]`` the parity of the inversions whose
-    two values both exceed ``m``.
-    """
-    n = len(x)
-    inv = [0] * n
-    for i, u in enumerate(x):
-        for v in x[i + 1:]:
-            if u > v:
-                inv[u] |= 1 << v
-                inv[v] |= 1 << u
-    above = [0] * n
-    acc = 0
-    for m in range(n - 1, -1, -1):
-        above[m] = acc
-        acc ^= (inv[m] >> (m + 1)).bit_count() & 1
-    return tuple(inv), tuple(above)
 
 
 def move_sign(x: Generator, b: int, t: int) -> int:
@@ -93,35 +74,98 @@ def move_sign(x: Generator, b: int, t: int) -> int:
     annulus, turns the annulus products into +1 (horizontal) and -1
     (vertical).
 
-    The sum is taken in closed form from x's own inversions, which the
-    moves out of one generator share when asked in a row.  While
-    x[lo] rises to row hi, the values other than x[lo] and the one it
-    passes keep their order in x; while x[hi] sinks back to row lo, so do
-    those other than x[hi] and the one it passes, except that x[lo] now
-    sits above the rows between: each pair it forms with them flips.
-    When x[lo] > x[hi], each of the K values between that exceed x[hi]
-    would add the K - 1 others: K(K - 1) in all, which is even, so it is
-    left out.
+    The delta sum has a closed form in x's own inversions.  While x[lo]
+    rises to row hi, the values other than x[lo] and the one it passes
+    keep their order in x; while x[hi] sinks back to row lo, so do those
+    other than x[hi] and the one it passes, except that x[lo] now sits
+    above the rows between: each pair it forms with them flips.  So, mod
+    2, the sum is ``[x[lo] > x[hi]]``; plus, for each value c between,
+    ``[c < x[lo]] + [c > x[hi]]``, and the values between that exceed c
+    if c is below both x[lo] and x[hi]; plus, for each pair {u, v} of
+    x[lo] or x[hi] with a value between, and for {x[lo], x[hi]}, the
+    inversions of x among the values over min(u, v) other than those of
+    max(u, v).  When x[lo] > x[hi], each of the K values between that
+    exceed x[hi] would add the K - 1 others: K(K - 1) in all, which is
+    even, so it is left out.  ``signer`` takes these terms; this is its
+    answer for the one rectangle.
     """
     n = len(x)
-    inv, above = _inversions(x)
-    lo, hi = (b, t) if b < t else (t, b)
-    low, high = x[lo], x[hi]
-    between = x[lo + 1:hi]
+    m = n - 1
     a = x[b]
-    width = (x[t] - a) % n
-    e = (t < b) + sum((b + k - a) % n < width for k in range((t - b) % n))
-    e += (low > high) + sum(c < low for c in between) \
-        + sum(c > high for c in between)
-    for c in between:
-        for u, v in ((low, c), (c, high)):
-            m, big = (u, v) if u < v else (v, u)
-            e += above[m] + (inv[big] >> (m + 1)).bit_count()
-        if low > c < high:
-            e += sum(d > c for d in between)
-    m, big = (low, high) if low < high else (high, low)
-    e += above[m] + (inv[big] >> (m + 1)).bit_count()
-    return -1 if e & 1 else 1
+    rid = ((a * n + b) * m + (x[t] - a) % n - 1) * m + (t - b) % n - 1
+    return signer(n)(x, [rid])[0]
+
+
+def signer(n: int):
+    """The closed-form signs on an n x n grid, as one function.
+
+    ``signs(x, rids)`` gives the sign ``move_sign`` states of each move
+    out of generator ``x`` whose rectangle has an id in ``rids``, in
+    order.  Every path that wants closed-form signs (the complex
+    builder, the poset covers, ``SignConstraints.closed_form``) asks this
+    one function, one generator at a time.  Each term of the exponent is
+    paid where it is fixed:
+
+    * per rectangle id, the rows lo < hi the move swaps and the parity of
+      ``[t < b]`` and the diagonal cells covered, read on first use and
+      kept by this signer, so only as long as its caller holds it;
+    * per generator, the inversion masks ``inv[u]`` (the values forming
+      an inversion with u: the values seen before u in x, XOR those
+      below u) in one walk of x, and ``above[v]`` (the inversions
+      between values over v) from the top value down;
+    * per move, the delta sum over the rows between lo and hi.
+    """
+    m = n - 1
+    fixed: dict[int, tuple[int, int, int]] = {}
+
+    def fix(rid: int) -> tuple[int, int, int]:
+        h, w = rid % m + 1, rid // m % m + 1
+        b, a = rid // (m * m) % n, rid // (m * m * n)
+        t = (b + h) % n
+        e = t < b
+        for k in range(h):
+            e += (b + k - a) % n < w
+        fixed[rid] = entry = (b, t, e) if b < t else (t, b, e)
+        return entry
+
+    def signs(x: Generator, rids) -> list[int]:
+        inv = [0] * n
+        seen = 0
+        for u in x:
+            inv[u] = seen ^ ((1 << u) - 1)
+            seen |= 1 << u
+        above = [0] * n
+        for v in range(m, 0, -1):
+            above[v - 1] = above[v] + (inv[v] >> (v + 1)).bit_count()
+        out = []
+        for rid in rids:
+            lo, hi, e = fixed.get(rid) or fix(rid)
+            low, high = x[lo], x[hi]
+            if low < high:
+                e += above[low] + (inv[high] >> (low + 1)).bit_count()
+            else:
+                e += 1 + above[high] + (inv[low] >> (high + 1)).bit_count()
+            if hi - lo > 1:
+                # below: the values between under both low and high
+                below = 0
+                for c in x[lo + 1:hi]:
+                    if c < low:
+                        e += 1 + above[c] + (inv[low] >> (c + 1)).bit_count()
+                    else:
+                        e += above[low] + (inv[c] >> (low + 1)).bit_count()
+                    if c > high:
+                        e += 1 + above[high] \
+                            + (inv[c] >> (high + 1)).bit_count()
+                    else:
+                        e += above[c] + (inv[high] >> (c + 1)).bit_count()
+                        below += c < low
+                # each such c adds the values between over it: the other
+                # such values once per pair, and every other value
+                e += below * (below - 1) // 2 + below * (hi - lo - 1 - below)
+            out.append(-1 if e & 1 else 1)
+        return out
+
+    return signs
 
 
 def move_signs(table: MoveTable, i: int) -> list[int]:
@@ -130,14 +174,7 @@ def move_signs(table: MoveTable, i: int) -> list[int]:
     One sign per entry of ``table.rids[i]``, in order; each rectangle id
     names the two rows its move swaps.
     """
-    x = table.gens[i]
-    n = len(x)
-    m = n - 1
-    out = []
-    for rid in table.rids[i]:
-        b = rid // (m * m) % n
-        out.append(move_sign(x, b, (b + rid % m + 1) % n))
-    return out
+    return signer(table.grid.n)(table.gens[i], table.rids[i])
 
 
 class SignConstraints:
@@ -179,8 +216,9 @@ class SignConstraints:
     def closed_form(self) -> bytearray:
         """``move_sign``'s exponents of every move, numbered as the unknowns."""
         table = self.table
-        return bytearray(s < 0 for i in range(len(table.gens))
-                         for s in move_signs(table, i))
+        sign = signer(table.grid.n)
+        return bytearray(s < 0 for x, rids in zip(table.gens, table.rids)
+                         for s in sign(x, rids))
 
 
 class SignAssignment:

@@ -4,11 +4,15 @@ Complexes store each differential row as target indices, with a parallel
 coefficient row over Z only.  The helpers here read and write rows of
 ``(target, coefficient)`` pairs, the form the references are stated in.
 The domain checks read a ``Domain`` by its definition.
+``reference_move_sign`` is the closed-form sign as first written, one
+generator's inversion tables at a time, against which the package's
+per-generator masks and per-rectangle entries are checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from conftest import UNKNOT2
@@ -100,3 +104,58 @@ def invariant_form(orders) -> tuple[int, ...]:
             g = gcd(a[i], a[j])
             a[i], a[j] = g, a[i] * a[j] // g
     return tuple(sorted(d for d in a if d > 1))
+
+
+@lru_cache(maxsize=1)
+def _inversions(x: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-generator tables of ``reference_move_sign``, kept for the next
+    move out of x.
+
+    ``inv[v]`` is the bitmask of the values that form an inversion with
+    ``v`` in ``x``, and ``above[m]`` the parity of the inversions whose
+    two values both exceed ``m``.
+    """
+    n = len(x)
+    inv = [0] * n
+    for i, u in enumerate(x):
+        for v in x[i + 1:]:
+            if u > v:
+                inv[u] |= 1 << v
+                inv[v] |= 1 << u
+    above = [0] * n
+    acc = 0
+    for m in range(n - 1, -1, -1):
+        above[m] = acc
+        acc ^= (inv[m] >> (m + 1)).bit_count() & 1
+    return tuple(inv), tuple(above)
+
+
+def reference_move_sign(x: tuple[int, ...], b: int, t: int) -> int:
+    """Sign of the move out of ``x`` that swaps rows ``b`` and ``t``, as
+    ``signs.move_sign``'s docstring states it, term by term.
+
+    With lo, hi = min(b, t), max(b, t) and a = x[b], the exponent is
+    ``[t < b]``, plus the diagonal cells the rectangle covers, plus the
+    delta sum over the adjacent swaps lo..hi-1..lo, taken from x's
+    inversion tables: pairs (u, v) of the swapped values and the values
+    between contribute ``above[min] + #(inversions of max above min)``.
+    """
+    n = len(x)
+    inv, above = _inversions(x)
+    lo, hi = (b, t) if b < t else (t, b)
+    low, high = x[lo], x[hi]
+    between = x[lo + 1:hi]
+    a = x[b]
+    width = (x[t] - a) % n
+    e = (t < b) + sum((b + k - a) % n < width for k in range((t - b) % n))
+    e += (low > high) + sum(c < low for c in between) \
+        + sum(c > high for c in between)
+    for c in between:
+        for u, v in ((low, c), (c, high)):
+            m, big = (u, v) if u < v else (v, u)
+            e += above[m] + (inv[big] >> (m + 1)).bit_count()
+        if low > c < high:
+            e += sum(d > c for d in between)
+    m, big = (low, high) if low < high else (high, low)
+    e += above[m] + (inv[big] >> (m + 1)).bit_count()
+    return -1 if e & 1 else 1

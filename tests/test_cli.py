@@ -216,7 +216,8 @@ def test_check_signs_json(capsys):
 def test_check_signs_fails_a_closed_form_that_breaks_an_axiom(
         capsys, monkeypatch):
     """All +1 signs give every vertical annulus the product +1."""
-    monkeypatch.setattr("gridhfk.signs.move_sign", lambda x, b, t: 1)
+    monkeypatch.setattr("gridhfk.signs.signer",
+                        lambda n: lambda x, rids: [1] * len(rids))
     rc, out, err = run(capsys, ["check", "signs", TREFOIL])
     assert rc == 2
     assert out.startswith("FAIL: sign assignment on the 5x5 grid")
@@ -331,9 +332,9 @@ def test_max_grid_below_two_is_a_usage_error(capsys, monkeypatch):
 def test_truncate_checked_before_any_work(capsys, monkeypatch):
     """A bad --truncate is refused before any sign is computed."""
     def refuse(*args):
-        raise AssertionError("move_sign ran before --truncate was checked")
+        raise AssertionError("signer ran before --truncate was checked")
 
-    monkeypatch.setattr("gridhfk.signs.move_sign", refuse)
+    monkeypatch.setattr("gridhfk.signs.signer", refuse)
     for argv in (["homology", TORUS34, "--version", "minus"],
                  ["homology", TORUS34],
                  ["poset", "stats", TREFOIL, "--version", "minus"],

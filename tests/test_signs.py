@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from conftest import (
     COMPOSITE6,
     FIG8,
+    KNOT8,
     TORUS34,
     TREFOIL5,
     TWIST52,
@@ -36,8 +37,10 @@ from gridhfk.signs import (
     move_sign,
     move_signs,
     sign_constraints,
+    signer,
     solve_signs,
 )
+from oracles import reference_move_sign
 
 
 def _annulus_pair(sa, i, *, col=None, row=None):
@@ -236,6 +239,28 @@ def test_move_sign_is_the_literal_formula(n):
     for x in itertools.permutations(range(n)):
         for b, t in itertools.permutations(range(n), 2):
             assert move_sign(x, b, t) == literal_sign(x, b, t), (x, b, t)
+
+
+def assert_reference_signs(table):
+    """One ``signer`` over every row of ``table``, its per-rectangle
+    entries shared from row to row, gives each move the reference sign."""
+    sign, rects = signer(table.grid.n), table.rects
+    for x, rids in zip(table.gens, table.rids):
+        assert sign(x, rids) == [
+            reference_move_sign(x, rects[rid].row, rects[rid].top)
+            for rid in rids], x
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(knot_grids())
+def test_every_move_has_the_reference_sign(g):
+    for cls in ("", "X", "XO"):
+        assert_reference_signs(move_table(g, cls=cls))
+
+
+def test_knot8_top_half_moves_have_the_reference_sign():
+    assert_reference_signs(move_table(KNOT8, cls="XO", top_half=True))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
