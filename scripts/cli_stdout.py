@@ -64,6 +64,7 @@ COMMANDS = [
     "alexander fixtures/granny.grid",
     f"alexander {UNLINK3}",
     f"homology {UNLINK3} --version tilde",
+    f"homology {UNLINK3} --version tilde --coefficients z",
     "genus fixtures/torus34.grid",
     "fibered fixtures/torus34.grid",
     "poset stats fixtures/torus34.grid",

@@ -43,7 +43,6 @@ from gridhfk.gradings import (
     alexander,
     determinant_alexander,
     euler_characteristic,
-    j_pair,
     maslov,
 )
 from gridhfk.grid import Grid, link_components
@@ -92,6 +91,14 @@ def gen_from_colstring(s: str) -> Generator:
 
 
 # ------------------------------------------------------- fast Euler char.
+
+def j_pair(a, b) -> Fraction:
+    """J on formal sums of ``((x, y), coefficient)`` terms, exactly: 1/2
+    for each pair of points strictly north-east or south-west of each
+    other, extended bilinearly."""
+    return sum((cp * cq for (p, cp) in a for (q, cq) in b
+                if (p[0] - q[0]) * (p[1] - q[1]) > 0), Fraction(0)) / 2
+
 
 def linear_a_table(g: Grid):
     """Table L and constant K with A(x) = sum_r L[r][x[r]] + K."""

@@ -41,10 +41,8 @@ from .grid import (
 from .gradings import (
     alexander,
     bigrading,
-    bigrading_with_u,
     determinant_alexander,
     euler_characteristic,
-    j_pair,
     maslov,
     top_generators,
 )

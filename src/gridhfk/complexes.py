@@ -344,25 +344,20 @@ def _staircase_coeffs(g: Grid, x: Generator, y: Generator) -> list[list[int]]:
     return d
 
 
-def connecting_domain(g: Grid, x: Generator, y: Generator, mode: str = "any",
+def connecting_domain(g: Grid, x: Generator, y: Generator,
                       o_counts: tuple[int, ...] | None = None) -> Domain | None:
-    """A domain from ``x`` to ``y``.
+    """The domain from ``x`` to ``y`` with multiplicity 0 at every X.
 
-    mode 'any': a staircase of rectangles, always defined.
-    mode 'zero_XO': the domain with multiplicity 0 at every X and, unless
-    ``o_counts`` prescribes other O multiplicities, at every O; returns
-    None when no such domain exists.  The staircase is corrected by row
-    and column annuli, whose shifts come from one walk around each cycle
-    that the markings chain the rows and columns into.  A knot has one
-    cycle, so the correction is forced and the domain unique; on a link
-    each cycle's first row keeps shift 0.
+    Its O multiplicities are ``o_counts``, or 0 at every O when that is
+    None; returns None when no such domain exists.  A staircase of
+    rectangles from ``x`` to ``y`` is corrected by row and column
+    annuli, whose shifts come from one walk around each cycle that the
+    markings chain the rows and columns into.  A knot has one cycle, so
+    the correction is forced and the domain unique; on a link each
+    cycle's first row keeps shift 0.
     """
     n = g.n
     base = _staircase_coeffs(g, x, y)
-    if mode == "any":
-        return Domain(g, x, y, tuple(tuple(row) for row in base))
-    if mode != "zero_XO":
-        raise ValueError(f"unknown mode {mode!r}")
     if o_counts is None:
         o_counts = (0,) * n
 

@@ -28,8 +28,8 @@ non-inversions of ``x`` for ``J(x, x)``::
     M(x) = noninversions(x) - sum_r T_O[r][x[r]] + jj(O, O) / 2 + 1
 
 where ``jj`` is twice the pairing.  The quadratic point-set pairing
-``_jj_points`` builds those tables and constants, and ``j_pair`` on exact
-rationals is the reference the tests check both against.
+``_jj_points`` builds those tables and constants; the tests check both
+gradings against the pairing on exact rationals.
 
 Because ``A`` is linear in the points of ``x``, sums over the n!
 generators need no enumeration.  ``top_generators`` lists those with
@@ -49,55 +49,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import getitem
-from typing import TYPE_CHECKING
 
 from .errors import InexactDivision, NonIntegralAlexander
 from .grid import Grid, link_components
 
-if TYPE_CHECKING:  # exact rationals load with the oracles that use them
-    from fractions import Fraction
-
 __all__ = [
-    "j_pair",
     "maslov",
     "alexander",
     "bigrading",
-    "bigrading_with_u",
-    "maslov_index",
-    "point_measure",
     "top_generators",
     "euler_characteristic",
     "determinant_alexander",
 ]
-
-def _as_formal_sum(value) -> list[tuple[tuple[Fraction, Fraction], int]]:
-    """Accept a bare point ``(x, y)`` or an iterable of ``(point, coeff)``."""
-    from fractions import Fraction
-
-    seq = list(value)
-    if len(seq) == 2 and not isinstance(seq[0], (tuple, list)):
-        return [((Fraction(seq[0]), Fraction(seq[1])), 1)]
-    out = []
-    for point, coeff in seq:
-        x, y = point
-        out.append(((Fraction(x), Fraction(y)), Fraction(coeff)))
-    return out
-
-
-def j_pair(a, b) -> Fraction:
-    """Bilinear extension of the half-point pairing to formal sums.
-
-    Reference implementation on exact rationals; the grading functions
-    below use per-grid tables and are checked against this.
-    """
-    from fractions import Fraction
-
-    total = Fraction(0)
-    for (px, py), cp in _as_formal_sum(a):
-        for (qx, qy), cq in _as_formal_sum(b):
-            if (px - qx) * (py - qy) > 0:
-                total += Fraction(cp * cq, 2)
-    return total
 
 
 def _jj_points(ps: list[tuple[int, int]], qs: list[tuple[int, int]]) -> int:
@@ -173,35 +136,6 @@ def alexander(g: Grid, x: tuple[int, ...]) -> int:
 
 def bigrading(g: Grid, x: tuple[int, ...]) -> tuple[int, int]:
     return (maslov(g, x), alexander(g, x))
-
-
-def bigrading_with_u(g: Grid, x: tuple[int, ...],
-                     exponents: tuple[int, ...]) -> tuple[int, int]:
-    """Bigrading of ``x * prod U_i^{k_i}``; each U factor shifts by (-2, -1)."""
-    if len(exponents) != g.n or any(k < 0 for k in exponents):
-        raise ValueError(f"need {g.n} non-negative exponents, got {exponents}")
-    total = sum(exponents)
-    return (maslov(g, x) - 2 * total, alexander(g, x) - total)
-
-
-def point_measure(coeffs, n: int, col: int, row: int) -> Fraction:
-    """Average of the four cell coefficients around the lattice point."""
-    from fractions import Fraction
-
-    return Fraction(
-        coeffs[row - 1][col - 1] + coeffs[row - 1][col % n]
-        + coeffs[row % n][col - 1] + coeffs[row % n][col % n], 4)
-
-
-def maslov_index(coeffs, n: int, x: tuple[int, ...], y: tuple[int, ...]) -> Fraction:
-    """Index of a 2-chain from x to y: total point measure at both point sets."""
-    from fractions import Fraction
-
-    total = Fraction(0)
-    for r in range(n):
-        total += point_measure(coeffs, n, x[r], r)
-        total += point_measure(coeffs, n, y[r], r)
-    return total
 
 
 def _require_knot(g: Grid) -> None:

@@ -99,6 +99,9 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
     unit-triangular on those columns, so each skipped element is a sum of
     kept ones plus a boundary, which d_m kills: d_m has the same image from
     the kept rows as from all of C_m, hence the same rank and torsion.
+
+    A target that repeats in a row is summed, over F2 by xor: on a split
+    link two rectangles can join the same pair of generators.
     """
     diff, coeffs = complex_.diff, complex_.coeffs
     rank_between: dict[int, int] = {}
@@ -111,9 +114,17 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
             continue
         sources = [i for i in by_m[m] if pos_of[i] not in skip]
         if complex_.coefficients == "Z":
-            rows = [{pos_of[j]: c for j, c in zip(diff[i], coeffs[i]) if c}
-                    for i in sources]
-            factors = invariant_factors(list(filter(None, rows)), cancelled)
+            rows = []
+            for i in sources:
+                row: dict[int, int] = {}
+                for j, c in zip(diff[i], coeffs[i]):
+                    pos = pos_of[j]
+                    row[pos] = row.get(pos, 0) + c
+                if 0 in row.values():
+                    row = {pos: c for pos, c in row.items() if c}
+                if row:
+                    rows.append(row)
+            factors = invariant_factors(rows, cancelled)
             rank_between[m] = len(factors)
             tors = tuple(sorted(d for d in factors if d > 1))
             if tors:
@@ -123,7 +134,7 @@ def _column_ranks(complex_: ChainComplex, by_m: dict[int, list[int]],
             for i in sources:
                 mask = 0
                 for j in diff[i]:
-                    mask |= 1 << pos_of[j]
+                    mask ^= 1 << pos_of[j]
                 if mask:
                     masks.append(mask)
             rank_between[m] = f2_rank(masks, cancelled)

@@ -5,7 +5,9 @@ rank computation is a handful of xors.  Matrices over Z travel as sparse
 row dictionaries; elimination peels off unit pivots first (the boundary
 matrices built elsewhere in this package start with entries in {-1, 0, 1},
 so this stage almost always consumes everything) and hands any leftover
-core to a dense Smith normal form with exact big-integer arithmetic.
+core to a dense Smith normal form with exact big-integer arithmetic, of
+which only the diagonal is kept: the row and column operations rewrite
+the core alone, with no unimodular transforms built alongside.
 
 The unit pivots come from a first-in first-out queue of rows, each row
 in it at most once.  A popped row pivots on its +-1 entry in the
@@ -105,10 +107,6 @@ def _strip_unit_pivots(rows: dict[int, dict[int, int]]) -> list[int]:
     return eliminated
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def _bezout(p: int, b: int) -> tuple[int, int, int]:
     """(g, s, x) with s*p + x*b = g = gcd(p, b), for p > 0; (p, 1, 0) when
     p divides b."""
@@ -123,13 +121,11 @@ def _bezout(p: int, b: int) -> tuple[int, int, int]:
     return (r0, s0, x0) if r0 > 0 else (-r0, -s0, -x0)
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]):
-    """Diagonalize an integer matrix: returns (d, u, v) with d = u*mat*v.
+def _dense_invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero diagonal of the Smith normal form of an integer matrix.
 
-    ``d`` is diagonal with d[0][0] | d[1][1] | ..., all entries
-    non-negative; ``u`` and ``v`` are square with determinant +-1.  Dense
-    big-integer arithmetic throughout; meant for small cores and oracle
-    checks, not bulk elimination.
+    The diagonal is d[0][0] | d[1][1] | ..., all positive.  Dense
+    big-integer arithmetic, for the small cores the unit pivots leave.
 
     Each entry in the pivot's column (row) is cleared by one unimodular
     combination of the two rows (columns) from the extended gcd, which
@@ -140,38 +136,24 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     a = [list(row) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
 
     def row_mix(t: int, i: int, b: int) -> None:
         """Rows t, i become (s, x; -b/g, p/g) times themselves: a[i][t] = 0."""
         p = a[t][t]
         g, s, x = _bezout(p, b)
         y, z = -b // g, p // g
-        for mat_ in (a, u):
-            rt, ri = mat_[t], mat_[i]
-            mat_[t] = [s * e + x * f for e, f in zip(rt, ri)]
-            mat_[i] = [y * e + z * f for e, f in zip(rt, ri)]
+        rt, ri = a[t], a[i]
+        a[t] = [s * e + x * f for e, f in zip(rt, ri)]
+        a[i] = [y * e + z * f for e, f in zip(rt, ri)]
 
     def col_mix(t: int, j: int, b: int) -> None:
         """Columns t, j, likewise: a[t][j] = 0."""
         p = a[t][t]
         g, s, x = _bezout(p, b)
         y, z = -b // g, p // g
-        for mat_ in (a, v):
-            for row in mat_:
-                e, f = row[t], row[j]
-                row[t], row[j] = s * e + x * f, y * e + z * f
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i: int, j: int) -> None:
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+            e, f = row[t], row[j]
+            row[t], row[j] = s * e + x * f, y * e + z * f
 
     t = 0
     while t < m and t < n:
@@ -183,11 +165,12 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
                     pivot = (i, j)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
             a[t] = [-e for e in a[t]]
-            u[t] = [-e for e in u[t]]
         while True:
             for i in range(t + 1, m):
                 if a[i][t]:
@@ -205,18 +188,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
             if offender is None:
                 break
             a[t] = [e + f for e, f in zip(a[t], a[offender])]
-            u[t] = [e + f for e, f in zip(u[t], u[offender])]
         t += 1
-    return a, u, v
-
-
-def _dense_invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
-    d, _, _ = smith_normal_form(mat)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
+    return [a[i][i] for i in range(t)]
 
 
 def invariant_factors(rows: Iterable[dict[int, int]],

@@ -476,7 +476,7 @@ def _certify(p: GridPoset, yi: int, xi: int) -> None:
     """
     y, x = p.elements[yi], p.elements[xi]
     (gx, fx), (gy, fy) = p._split(x), p._split(y)
-    dom = connecting_domain(p.grid, gx, gy, "zero_XO", tuple(map(sub, fy, fx)))
+    dom = connecting_domain(p.grid, gx, gy, tuple(map(sub, fy, fx)))
     if dom is None or not dom.is_positive():
         raise InvalidDifferential(
             f"covers relate {y} below {x} in Alexander grading "

@@ -44,7 +44,6 @@ __all__ = [
     "SignAssignment",
     "SignConstraints",
     "move_sign",
-    "move_signs",
     "sign_constraints",
     "signer",
     "solve_signs",
@@ -166,15 +165,6 @@ def signer(n: int):
         return out
 
     return signs
-
-
-def move_signs(table: MoveTable, i: int) -> list[int]:
-    """Closed-form signs of the moves of ``table`` out of generator ``i``.
-
-    One sign per entry of ``table.rids[i]``, in order; each rectangle id
-    names the two rows its move swaps.
-    """
-    return signer(table.grid.n)(table.gens[i], table.rids[i])
 
 
 class SignConstraints:

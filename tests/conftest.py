@@ -89,6 +89,18 @@ def connected_sum(g1: Grid, g2: Grid, row1: int = 0, row2: int = 0) -> Grid:
     return Grid(n1 + g2.n, tuple(x_cols), tuple(o_cols))
 
 
+def split_union(*grids: Grid) -> Grid:
+    """A grid of the split union of the links of ``grids``: each sits on
+    the diagonal of one grid, its rows and columns shifted by the sizes
+    of those before it, and no marking is exchanged."""
+    x_cols, o_cols, shift = [], [], 0
+    for g in grids:
+        x_cols += [c + shift for c in g.x_cols]
+        o_cols += [c + shift for c in g.o_cols]
+        shift += g.n
+    return Grid(shift, tuple(x_cols), tuple(o_cols))
+
+
 def torus_grid(p: int, q: int) -> Grid:
     """The (p + q) grid of the torus knot T(p, q): diagonal X, O shifted
     by p.  It presents the mirror of the positive T(p, q)."""

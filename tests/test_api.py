@@ -30,8 +30,8 @@ PUBLIC = """
     Grid Marking apply_symmetry commute destabilize grid_from_json
     link_components markings parse_grid random_knot_grid serialize_grid
     stabilize
-    alexander bigrading bigrading_with_u determinant_alexander
-    euler_characteristic j_pair maslov top_generators
+    alexander bigrading determinant_alexander euler_characteristic maslov
+    top_generators
     ChainComplex Domain Rectangle build_minus_complex build_tilde_complex
     connecting_domain enumerate_generators
     BigradedRanks extract_hat homology poincare_string

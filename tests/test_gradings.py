@@ -4,24 +4,22 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from conftest import KNOT8, TREFOIL5
-from gridhfk.complexes import connecting_domain, enumerate_generators, move_table
-from gridhfk.errors import NonIntegralAlexander
-from gridhfk.gradings import (
-    alexander,
-    bigrading,
-    bigrading_with_u,
-    j_pair,
-    maslov,
-    maslov_index,
+from gridhfk.complexes import (
+    build_minus_complex,
+    enumerate_generators,
+    move_table,
 )
+from gridhfk.errors import NonIntegralAlexander
+from gridhfk.gradings import alexander, bigrading, maslov
 from gridhfk.grid import Grid, random_knot_grid
 from oracles import (
     domain_index,
+    j_pair,
+    maslov_index,
     multiplicities,
     rectangle_coeffs,
+    staircase_domain,
     verify_boundary,
 )
 
@@ -165,14 +163,13 @@ def test_alexander_normalization_symmetric():
                 assert counts[a] == counts[-a], (g, counts)
 
 
-def test_bigrading_with_u_shifts():
-    g = UNKNOT2
-    assert bigrading_with_u(g, (0, 1), (0, 0)) == (0, 0)
-    assert bigrading_with_u(g, (0, 1), (2, 1)) == (-6, -3)
-    with pytest.raises(ValueError):
-        bigrading_with_u(g, (0, 1), (1,))
-    with pytest.raises(ValueError):
-        bigrading_with_u(g, (0, 1), (-1, 0))
+def test_minus_gradings_shift_by_u():
+    """x U^k sits at (M(x) - 2|k|, A(x) - |k|) in the minus complex."""
+    cx = build_minus_complex(TREFOIL5, 2)
+    assert len(cx.labels) == 120 * 2 ** 5
+    for (x, k), ma in zip(cx.labels, cx.gradings):
+        assert ma == (maslov(TREFOIL5, x) - 2 * sum(k),
+                      alexander(TREFOIL5, x) - sum(k))
 
 
 def rect_moves_from(g, x):
@@ -202,7 +199,7 @@ def test_index_and_grading_identities_on_domains():
         for _ in range(25):
             x = gens[rng.randrange(len(gens))]
             y = gens[rng.randrange(len(gens))]
-            d = connecting_domain(g, x, y, "any")
+            d = staircase_domain(g, x, y)
             assert verify_boundary(d)
             mu = domain_index(d)
             assert mu.denominator == 1

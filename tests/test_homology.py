@@ -22,11 +22,12 @@ from gridhfk.homology import (
     poincare,
     poincare_string,
 )
-from gridhfk.linalg import f2_rank, invariant_factors, smith_normal_form
+from gridhfk.linalg import _dense_invariant_factors, f2_rank, invariant_factors
 from oracles import (
     complex_from_terms,
     invariant_form,
     reference_d_squared,
+    smith_normal_form,
     terms,
 )
 
@@ -253,6 +254,7 @@ def test_smith_normal_form_oracle():
                 assert x >= 0
                 if y:
                     assert x != 0 and y % x == 0
+            assert _dense_invariant_factors(b) == [x for x in diag if x]
 
 
 def _full_block_homology(cx):

@@ -1,11 +1,16 @@
-"""Hat tables against exact answers: connected sums and torus knots.
+"""Tables against exact answers: connected sums, split unions and torus
+knots.
 
 The hat of a connected sum is the tensor product of its factors' hats
 (Ozsvath-Szabo, Kunneth formula for connected sums), with (M, A) adding
-and, over Z, the Tor terms one Maslov grading up.  Torus knots are
-L-space knots, so Delta fixes their hat: one group Z in each grading of
-Delta, with Maslov gradings read off the staircase.  These are the
-tier-1 cases past n = 9.
+and, over Z, the Tor terms one Maslov grading up.  The link Floer
+homology of a split union of l knots is the tensor product of theirs
+with l - 1 factors of rank two (Ozsvath-Szabo, arXiv:math/0512286), and
+the tilde complex of an n grid adds n - l more, so the tilde rank of a
+split union of three knots is 4 times the product of the knots' tilde
+ranks.  Torus knots are L-space knots, so Delta fixes their hat: one
+group Z in each grading of Delta, with Maslov gradings read off the
+staircase.  These are the tier-1 cases past n = 9.
 """
 
 from __future__ import annotations
@@ -21,12 +26,15 @@ from conftest import (
     FIG8,
     GRANNY9,
     TREFOIL5,
+    UNKNOT2,
     connected_sum,
     knot_grids,
+    split_union,
     torus_grid,
 )
+from gridhfk.complexes import build_tilde_complex
 from gridhfk.grid import link_components
-from gridhfk.homology import BigradedRanks
+from gridhfk.homology import BigradedRanks, homology
 from gridhfk.invariants import (
     alexander_polynomial,
     genus,
@@ -118,6 +126,48 @@ def test_connected_sums_past_n10(g1, g2):
     """The hat over F2, and the genus adds."""
     hat, factors = _check_sum(g1, g2, "F2", max_grid=12)
     assert genus(hat) == sum(map(genus, factors))
+
+
+def _tilde_rank(g, coefficients) -> int:
+    return homology(build_tilde_complex(g, coefficients)).total_rank
+
+
+def _check_split_union(grids, coefficients) -> int:
+    """Three knots' split union: its tilde rank is 4 times the product of
+    the knots' tilde ranks."""
+    g = split_union(*grids)
+    assert link_components(g) == len(grids) == 3
+    rank = _tilde_rank(g, coefficients)
+    product = 1
+    for factor in grids:
+        product *= _tilde_rank(factor, coefficients)
+    assert rank == 4 * product
+    return rank
+
+
+@st.composite
+def _split_factors(draw):
+    """Three knot grids with n1 + n2 + n3 <= 7."""
+    g1 = draw(knot_grids(max_n=3))
+    g2 = draw(knot_grids(max_n=5 - g1.n))
+    g3 = draw(knot_grids(max_n=7 - g1.n - g2.n))
+    return g1, g2, g3
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(_split_factors(), st.sampled_from(["F2", "Z"]))
+def test_split_union_tilde_rank_is_four_times_the_product(grids,
+                                                          coefficients):
+    _check_split_union(grids, coefficients)
+
+
+@pytest.mark.parametrize("coefficients", ["F2", "Z"])
+def test_three_component_unlink_tilde_rank(coefficients):
+    """unknot2 three times at n = 6: two marking-free rectangles join the
+    same pair of generators, and the two terms must sum."""
+    assert _check_split_union([UNKNOT2] * 3, coefficients) == 32
 
 
 def staircase(delta) -> dict[tuple[int, int], tuple[int, tuple]]:

@@ -201,7 +201,7 @@ def domain_leq(p, y, x):
     o_counts = tuple(b - a for a, b in zip(fx, fy))
     if min(o_counts) < 0:
         return False
-    dom = connecting_domain(p.grid, gx, gy, "zero_XO", o_counts)
+    dom = connecting_domain(p.grid, gx, gy, o_counts)
     return dom is not None and dom.is_positive()
 
 
@@ -271,7 +271,7 @@ def test_connecting_domain_matches_graph_search_reference():
                 cols[g.x_cols[r]] = -base[r][g.x_cols[r]] - rows[r]
             o_counts = tuple(base[r][g.o_cols[r]] + rows[r] + cols[g.o_cols[r]]
                              for r in range(n))
-        dom = connecting_domain(g, x, y, "zero_XO", o_counts)
+        dom = connecting_domain(g, x, y, o_counts)
         want = reference_zero_xo(g, x, y, o_counts)
         assert (None if dom is None else dom.coeffs) == want, (g, x, y)
         if dom is None:

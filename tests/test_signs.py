@@ -35,7 +35,6 @@ from gridhfk.signs import (
     _lex_rank,
     _propagate,
     move_sign,
-    move_signs,
     sign_constraints,
     signer,
     solve_signs,
@@ -172,10 +171,11 @@ def test_move_signs_read_the_rows_off_the_rectangle_ids(cls):
     """One sign per move of the row, as ``move_sign`` gives it for the
     rows the move's rectangle swaps."""
     table = move_table(FIG8, cls=cls)
+    signs = signer(FIG8.n)
     for i, x in enumerate(table.gens):
         rects = map(table.rects.__getitem__, table.rids[i])
-        assert move_signs(table, i) == [move_sign(x, r.row, r.top)
-                                        for r in rects]
+        assert signs(x, table.rids[i]) == [move_sign(x, r.row, r.top)
+                                           for r in rects]
 
 
 def test_lex_rank_is_the_position_in_the_full_table():
