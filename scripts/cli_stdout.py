@@ -18,6 +18,8 @@ for byte:
     python3 scripts/cli_stdout.py | diff - scripts/cli_stdout.expected
 
 Stderr is not hashed; timing-free output is the contract only on stdout.
+``COLUMNS`` is pinned to 80, the width argparse falls back to when
+stdout is a pipe, so the help texts hash the same in any terminal.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ UNLINK3 = "6;X=0,1,2,3,4,5;O=1,0,3,2,5,4"
 GRANNY10 = "10;X=0,1,2,3,5,4,6,7,8,9;O=2,3,4,0,1,7,8,9,5,6"
 # T(3,7) at n = 10: its Z hat signs 1,490,320 moves
 T37 = "10;X=0,1,2,3,4,5,6,7,8,9;O=3,4,5,6,7,8,9,0,1,2"
+# trefoil5 stabilized at row 0, variant a: unlike trefoil5, it has a
+# legal row and column commutation and a destabilization
+STAB6 = "6;X=1,0,2,3,4,5;O=0,3,4,5,1,2"
 
 COMMANDS = [
     "homology fixtures/unknot2.grid",
@@ -80,12 +85,27 @@ COMMANDS = [
     "--coefficients z",
     "check signs fixtures/torus34.grid",
     "check signs fixtures/fig8.grid --json",
+    "--help",
+    "homology --help",
+    "poset stats --help",
+    "check signs --help",
+    "moves stabilize --help",
+    "moves commute fixtures/trefoil5.grid row 0",
+    "moves commute fixtures/trefoil5.grid row 0 --json",
+    "moves stabilize fixtures/trefoil5.grid 0 a",
+    "moves stabilize fixtures/trefoil5.grid 0 a --json",
+    "moves destabilize fixtures/trefoil5.grid 0 0",
+    "moves destabilize fixtures/trefoil5.grid 0 0 --json",
+    f"moves commute {STAB6} row 5",
+    f"moves commute {STAB6} col 5 --json",
+    f"moves destabilize {STAB6} 0 0",
+    f"moves destabilize {STAB6} 0 0 --json",
 ]
 
 
 def fingerprint(command: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
-               PYTHONDONTWRITEBYTECODE="1")
+               PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, "-m", "gridhfk.cli", *command.split()],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)

@@ -1,11 +1,18 @@
 """Knot Floer homology of grid diagrams, with a poset laboratory.
 
-The errors, grids, gradings, complexes and homology load with the
-package, since every command needs them; ``gridhfk.homology`` is the
-function, not the submodule.  The names of ``signs``, ``invariants`` and
-``poset`` load on first use: ``from gridhfk import genus`` imports
-``gridhfk.invariants`` then, and a command that never asks for them never
-compiles those modules.
+Eager: ``errors``, ``grid`` (the grid and its parsers), ``gradings``,
+``complexes``, ``homology`` (with ``certify_hat``) and ``linalg`` (F2
+rank and the unit pivots over Z) load with the package, since every
+command needs them; ``gridhfk.homology`` is the function, not the
+submodule.
+
+On first use: the names of ``moves`` (grid moves, symmetries, the text
+writer, random grids), ``closed_signs`` (the closed-form signs of the Z
+complexes), ``signs`` (the sign solver), ``invariants`` and ``poset``
+load when asked for: ``from gridhfk import genus`` imports
+``gridhfk.invariants`` then.  ``smith``, the dense Smith core, loads
+only when unit pivots leave one.  A command that never asks for these
+modules never compiles them.
 """
 
 from __future__ import annotations
@@ -24,20 +31,7 @@ from .errors import (
     ResourceLimit,
     UnsatisfiableSigns,
 )
-from .grid import (
-    Grid,
-    Marking,
-    apply_symmetry,
-    commute,
-    destabilize,
-    grid_from_json,
-    link_components,
-    markings,
-    parse_grid,
-    random_knot_grid,
-    serialize_grid,
-    stabilize,
-)
+from .grid import Grid, grid_from_json, link_components, parse_grid
 from .gradings import (
     alexander,
     bigrading,
@@ -48,24 +42,32 @@ from .gradings import (
 )
 from .complexes import (
     ChainComplex,
-    Domain,
     Rectangle,
     build_minus_complex,
     build_tilde_complex,
-    connecting_domain,
     enumerate_generators,
 )
-from .homology import BigradedRanks, extract_hat, homology, poincare_string
+from .homology import (
+    BigradedRanks,
+    certify_hat,
+    extract_hat,
+    homology,
+    poincare_string,
+)
 
 # name -> submodule that defines it, imported by ``__getattr__``
 _LAZY = {name: module for module, names in (
-    ("signs", "SignAssignment move_sign solve_signs"),
+    ("moves", "Marking apply_symmetry commute destabilize markings "
+              "random_knot_grid serialize_grid stabilize"),
+    ("closed_signs", "move_sign"),
+    ("signs", "SignAssignment solve_signs"),
     ("invariants", "AlexanderPolynomial InvarianceReport alexander_polynomial "
-                   "apply_move certify_hat check_invariance fibered genus "
+                   "apply_move check_invariance fibered genus "
                    "grid_alexander_polynomial hat_homology legal_moves"),
-    ("poset", "ELLabel GridPoset alexander_range build_poset components "
-              "del2_lands_in_boundaries del_tower el_increasing_chain_check "
-              "el_label interval maximal_chains poset_stats tower_sum"),
+    ("poset", "Domain ELLabel GridPoset alexander_range build_poset "
+              "components connecting_domain del2_lands_in_boundaries "
+              "del_tower el_increasing_chain_check el_label interval "
+              "maximal_chains poset_stats tower_sum"),
 ) for name in names.split()}
 
 

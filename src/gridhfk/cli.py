@@ -33,11 +33,12 @@ from .complexes import (
     build_tilde_complex,
 )
 from .errors import GridFormatError, ResourceLimit, UnsatisfiableSigns
-from .grid import Grid, grid_from_json, parse_grid, serialize_grid
-from .homology import BigradedRanks, extract_hat, homology
+from .grid import Grid, grid_from_json, parse_grid
+from .homology import BigradedRanks, certify_hat, extract_hat, homology
 
-# The invariants, the poset lab and the sign solver are imported by the
-# commands that run them, so a process loads only its command's modules.
+# The invariants, the poset lab, the sign solver and the grid moves are
+# imported by the commands that run them, so a process loads only its
+# command's modules.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,8 +209,6 @@ def _cmd_homology(args) -> int:
                                  top_half=hat)
         ranks = homology(cx)
         if hat:
-            from .invariants import certify_hat
-
             ranks = extract_hat(ranks, g.n, top_half=True)
             certify_hat(g, ranks)
 
@@ -380,6 +379,7 @@ def _cmd_check_signs(args) -> int:
 
 def _cmd_moves(args) -> int:
     from .invariants import apply_move
+    from .moves import serialize_grid
 
     g = load_grid(args.grid)
     if args.subcommand == "commute":
@@ -413,13 +413,7 @@ def _add_common(p: argparse.ArgumentParser, coefficients: bool = True,
                             f"(default {DEFAULT_MAX_GRID})")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="gridhfk",
-                     description="Knot Floer homology from grid diagrams.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="command")
-
-    p = sub.add_parser("homology", help="bigraded homology rank table")
+def _homology_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--version", choices=("tilde", "hat", "minus"),
                    default="hat", help="complex flavor (default hat)")
@@ -427,15 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="U-power cutoff for the minus version (default 2)")
     p.set_defaults(func=_cmd_homology)
 
-    for name, func, blurb in (
-            ("alexander", _cmd_alexander, "normalized Alexander polynomial"),
-            ("genus", _cmd_genus, "Seifert genus"),
-            ("fibered", _cmd_fibered, "fiberedness of the knot")):
-        p = sub.add_parser(name, help=blurb)
+
+def _knot_args(func):
+    """Fills in a command that takes one grid and reports one invariant."""
+    def fill(p: argparse.ArgumentParser) -> None:
         _add_common(p)
         p.set_defaults(func=func)
+    return fill
 
-    poset = sub.add_parser("poset", help="poset laboratory")
+
+def _poset_args(poset: argparse.ArgumentParser) -> None:
     poset_sub = poset.add_subparsers(dest="subcommand", required=True,
                                      metavar="subcommand")
     p = poset_sub.add_parser("stats", help="per-grading poset report")
@@ -448,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interval sampling seed (default 0)")
     p.set_defaults(func=_cmd_poset_stats)
 
-    check = sub.add_parser("check", help="verification harnesses")
+
+def _check_args(check: argparse.ArgumentParser) -> None:
     check_sub = check.add_subparsers(dest="subcommand", required=True,
                                      metavar="subcommand")
     p = check_sub.add_parser("invariance",
@@ -465,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, coefficients=False)
     p.set_defaults(func=_cmd_check_signs)
 
-    moves = sub.add_parser("moves", help="apply a single grid move")
+
+def _moves_args(moves: argparse.ArgumentParser) -> None:
     moves_sub = moves.add_subparsers(dest="subcommand", required=True,
                                      metavar="subcommand")
     p = moves_sub.add_parser("commute", help="interchange adjacent annuli")
@@ -484,6 +481,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("col", type=int)
     p.set_defaults(func=_cmd_moves)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser; with ``command``, that command's alone.
+
+    Every top-level command is listed, so the top-level help and an
+    unknown command's error read the same either way, but only the
+    parser of ``command`` (of every command when None) gets its
+    arguments and subcommands: a process runs one command, and filling
+    in the others would only cost it start-up time.
+    """
+    parser = _Parser(prog="gridhfk",
+                     description="Knot Floer homology from grid diagrams.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="command")
+    # (command, help line, what fills in its parser), as help lists them
+    for name, blurb, fill in (
+            ("homology", "bigraded homology rank table", _homology_args),
+            ("alexander", "normalized Alexander polynomial",
+             _knot_args(_cmd_alexander)),
+            ("genus", "Seifert genus", _knot_args(_cmd_genus)),
+            ("fibered", "fiberedness of the knot", _knot_args(_cmd_fibered)),
+            ("poset", "poset laboratory", _poset_args),
+            ("check", "verification harnesses", _check_args),
+            ("moves", "apply a single grid move", _moves_args)):
+        p = sub.add_parser(name, help=blurb)
+        if command is None or command == name:
+            fill(p)
     return parser
 
 
@@ -512,7 +536,10 @@ def _run(argv) -> int:
     json_mode = "--json" in argv
     try:
         _apply_memory_ceiling()
-        args = build_parser().parse_args(argv)
+        # the top-level parser has no option that takes a value, so the
+        # first argument not starting with "-" names the command
+        command = next((a for a in argv if not a.startswith("-")), None)
+        args = build_parser(command).parse_args(argv)
         if getattr(args, "max_grid", 2) < 2:
             raise UsageError(f"--max-grid must be >= 2, got {args.max_grid}")
         return args.func(args)

@@ -1,4 +1,4 @@
-"""Generators, rectangles, domains and the grid chain complexes.
+"""Generators, rectangles, move tables and the grid chain complexes.
 
 A generator is a bijection between the horizontal and vertical circles,
 stored as a tuple ``x`` with ``x[r]`` the column of the point on
@@ -22,10 +22,10 @@ rectangles for ``d > 1``, marking-free ones at ``d = 1``.  A table holds
 each move as two ints, the target's index and ``Rectangle.id``, so the F2
 tilde rows are its target rows; ``Rectangle`` objects are made only when
 read.  Over Z the builder asks for one generator's signs at a time, in
-row order: by default the closed form of one ``signs.signer``, which
-keeps each rectangle id's fixed term while the builder runs, over the
-builder's own table, so only the sign solver (``check signs`` and the
-tests) reads the table of every empty rectangle.
+row order: by default the closed form of one ``closed_signs.signer``,
+which keeps each rectangle id's fixed term while the builder runs, over
+the builder's own table, so only the sign solver (``check signs`` and
+the tests) reads the table of every empty rectangle.
 
 Marking-free rectangles keep the Alexander grading, so the tilde complex
 also comes in a top half: the generators with ``A >= TOP_HALF_FLOOR``
@@ -48,11 +48,9 @@ from .grid import Grid
 __all__ = [
     "Generator",
     "Rectangle",
-    "Domain",
     "ChainComplex",
     "enumerate_generators",
     "move_table",
-    "connecting_domain",
     "build_tilde_complex",
     "build_minus_complex",
 ]
@@ -302,92 +300,6 @@ def move_table(g: Grid, max_grid: int = DEFAULT_MAX_GRID,
                      top_generators(g, TOP_HALF_FLOOR) if top_half else None)
 
 
-class Domain:
-    """2-chain of cells connecting two generators.
-
-    ``coeffs[r][c]`` is the multiplicity of the cell in row r, column c.
-    The defining constraint links the chain's alpha-boundary to the
-    generators: at every lattice point, the corner count of the chain
-    equals (points of y there) - (points of x there).
-    """
-
-    __slots__ = ("grid", "x_from", "y_to", "coeffs")
-
-    def __init__(self, grid: Grid, x_from: Generator, y_to: Generator,
-                 coeffs: tuple[tuple[int, ...], ...]):
-        self.grid = grid
-        self.x_from = x_from
-        self.y_to = y_to
-        self.coeffs = coeffs
-
-    def is_positive(self) -> bool:
-        return all(v >= 0 for row in self.coeffs for v in row)
-
-
-def _staircase_coeffs(g: Grid, x: Generator, y: Generator) -> list[list[int]]:
-    n = g.n
-    d = [[0] * n for _ in range(n)]
-    cur = list(x)
-    while True:
-        diff = [r for r in range(n) if cur[r] != y[r]]
-        if not diff:
-            break
-        r1 = diff[0]
-        ct = y[r1]
-        r2 = cur.index(ct)
-        a, b = cur[r1], r1
-        w, h = (ct - a) % n, (r2 - r1) % n
-        for dr in range(h):
-            for dc in range(w):
-                d[(b + dr) % n][(a + dc) % n] += 1
-        cur[r1], cur[r2] = cur[r2], cur[r1]
-    return d
-
-
-def connecting_domain(g: Grid, x: Generator, y: Generator,
-                      o_counts: tuple[int, ...] | None = None) -> Domain | None:
-    """The domain from ``x`` to ``y`` with multiplicity 0 at every X.
-
-    Its O multiplicities are ``o_counts``, or 0 at every O when that is
-    None; returns None when no such domain exists.  A staircase of
-    rectangles from ``x`` to ``y`` is corrected by row and column
-    annuli, whose shifts come from one walk around each cycle that the
-    markings chain the rows and columns into.  A knot has one cycle, so
-    the correction is forced and the domain unique; on a link each
-    cycle's first row keeps shift 0.
-    """
-    n = g.n
-    base = _staircase_coeffs(g, x, y)
-    if o_counts is None:
-        o_counts = (0,) * n
-
-    # Solve base[r][c] + row_shift[r] + col_shift[c] = target at all 2n
-    # markings.  Every row and every column holds one X and one O, so the
-    # markings chain rows and columns into cycles: the X of row r sits in
-    # column x_cols[r], whose O sits in row o_rows[c].  Walk each cycle
-    # from its first row with shift 0, each marking fixing the next shift;
-    # the walk closes on that row, which must get back the shift it has.
-    x_cols, o_rows = g.x_cols, g.o_rows
-    row_shift: list[int | None] = [None] * n
-    col_shift = [0] * n
-    for seed in range(n):
-        if row_shift[seed] is not None:
-            continue
-        r, shift = seed, 0
-        while row_shift[r] is None:
-            row_shift[r] = shift
-            c = x_cols[r]
-            col_shift[c] = -base[r][c] - shift
-            r = o_rows[c]
-            shift = o_counts[r] - base[r][c] - col_shift[c]
-        if row_shift[r] != shift:
-            return None
-    coeffs = tuple(
-        tuple(base[r][c] + row_shift[r] + col_shift[c] for c in range(n))
-        for r in range(n))
-    return Domain(g, x, y, coeffs)
-
-
 class ChainComplex:
     """Bigraded complex with differential dropping M by 1, fixing A.
 
@@ -452,7 +364,7 @@ def build_tilde_complex(g: Grid, coefficients: str = "F2", signs=None,
 
     With ``top_half``, only its direct summand on the generators with
     ``A >= TOP_HALF_FLOOR``.  Over Z the signs are the closed form of
-    ``signs.signer`` unless ``signs`` gives a solved assignment.
+    ``closed_signs.signer`` unless ``signs`` gives a solved assignment.
     """
     return _complex(g, 1, coefficients, signs, "tilde", max_grid, None,
                     top_half)
@@ -476,7 +388,7 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
     if coefficients == "F2":
         entry = None
     elif signs is None:
-        from .signs import signer  # signs imports this module
+        from .closed_signs import signer  # loaded by the Z paths alone
 
         sign, gens, rids = signer(g.n), table.gens, table.rids
         entry = lambda i: sign(gens[i], rids[i])

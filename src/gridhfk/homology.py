@@ -8,24 +8,35 @@ skips the rows whose elements the block above took as unit-pivot
 columns, since the image of the differential from the kept rows is the
 whole image.  The per-block results merge into one immutable table of
 ranks.
+
+The hat table is read off the top half of the tilde table
+(``extract_hat``) and certified against the Alexander polynomial of the
+grid determinant (``certify_hat``), here beside it, since the
+``homology`` command's hat path runs both and nothing else of
+``invariants``.
 """
 
 from __future__ import annotations
+
+import collections
 
 from .complexes import TOP_HALF_FLOOR, ChainComplex
 from .errors import (
     AsymmetryDetected,
     InexactDivision,
     InvalidDifferential,
+    InvalidHomology,
     OverflowGuard,
 )
-from .gradings import _divide_once
+from .gradings import _divide_once, determinant_alexander
+from .grid import Grid
 from .linalg import f2_rank, invariant_factors
 
 __all__ = [
     "BigradedRanks",
     "homology",
     "extract_hat",
+    "certify_hat",
     "poincare",
     "poincare_string",
 ]
@@ -263,3 +274,33 @@ def extract_hat(tilde: BigradedRanks, n: int,
                 if top_half and a:
                     blocks[(delta - a, -a)] = (coeff, ())
     return BigradedRanks(tilde.coefficients, blocks)
+
+
+def _euler_by_alexander(hat: BigradedRanks) -> dict[int, int]:
+    chi: dict[int, int] = collections.defaultdict(int)
+    for (m, a), (free, _) in hat.blocks.items():
+        chi[a] += -free if m % 2 else free  # (-1) ** m is a float at m < 0
+    return {a: c for a, c in chi.items() if c}
+
+
+def certify_hat(g: Grid, hat: BigradedRanks) -> None:
+    """Check chi(hat) against +-Delta from the grid determinant.
+
+    Raises InvalidHomology on a mismatch.  Over F2 as over Z the free
+    ranks' Euler characteristic is the integral polynomial, so the check
+    is exact either way.
+
+    The Euler characteristic of a complex depends on its generators, not
+    on its differential, so this guards the listing of the top half, the
+    gradings, the division and the mirror, but no wrong differential: one
+    that loses a rank moves two ranks (M, A) and (M - 1, A) together and
+    leaves chi as it was.  The differential is checked by the column
+    A = -1 in ``extract_hat``.
+    """
+    chi = _euler_by_alexander(hat)
+    delta = determinant_alexander(g)
+    if chi != delta and chi != {a: -c for a, c in delta.items()}:
+        raise InvalidHomology(
+            f"hat Euler characteristic {dict(sorted(chi.items()))} is not "
+            f"+-{dict(sorted(delta.items()))}, the grid determinant's "
+            "Alexander polynomial")

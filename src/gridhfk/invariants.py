@@ -9,12 +9,14 @@ rank table never changes.
 The hat table is computed from the top half of the tilde complex and
 mirrored, the column A = -1 checking the mirror, and then its graded
 Euler characteristic must be the Alexander polynomial that the grid
-determinant gives independently; the polynomial alone needs no homology.
+determinant gives independently (``homology.certify_hat``, which the
+``homology`` command also runs without loading this module); the
+polynomial alone needs no homology.  The moves the harness replays come
+from ``moves``.
 """
 
 from __future__ import annotations
 
-import collections
 import random
 
 from .complexes import DEFAULT_MAX_GRID, _check_grid_size, build_tilde_complex
@@ -25,15 +27,21 @@ from .errors import (
     NotDestabilizable,
 )
 from .gradings import determinant_alexander
-from .grid import Grid, commute, destabilize, stabilize
-from .homology import BigradedRanks, extract_hat, homology
+from .grid import Grid
+from .homology import (
+    BigradedRanks,
+    _euler_by_alexander,
+    certify_hat,
+    extract_hat,
+    homology,
+)
+from .moves import commute, destabilize, stabilize
 
 __all__ = [
     "AlexanderPolynomial",
     "InvarianceReport",
     "alexander_polynomial",
     "apply_move",
-    "certify_hat",
     "check_invariance",
     "fibered",
     "genus",
@@ -106,36 +114,6 @@ class AlexanderPolynomial:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def _euler_by_alexander(hat: BigradedRanks) -> dict[int, int]:
-    chi: dict[int, int] = collections.defaultdict(int)
-    for (m, a), (free, _) in hat.blocks.items():
-        chi[a] += -free if m % 2 else free  # (-1) ** m is a float at m < 0
-    return {a: c for a, c in chi.items() if c}
-
-
-def certify_hat(g: Grid, hat: BigradedRanks) -> None:
-    """Check chi(hat) against +-Delta from the grid determinant.
-
-    Raises InvalidHomology on a mismatch.  Over F2 as over Z the free
-    ranks' Euler characteristic is the integral polynomial, so the check
-    is exact either way.
-
-    The Euler characteristic of a complex depends on its generators, not
-    on its differential, so this guards the listing of the top half, the
-    gradings, the division and the mirror, but no wrong differential: one
-    that loses a rank moves two ranks (M, A) and (M - 1, A) together and
-    leaves chi as it was.  The differential is checked by the column
-    A = -1 in ``extract_hat``.
-    """
-    chi = _euler_by_alexander(hat)
-    delta = determinant_alexander(g)
-    if chi != delta and chi != {a: -c for a, c in delta.items()}:
-        raise InvalidHomology(
-            f"hat Euler characteristic {dict(sorted(chi.items()))} is not "
-            f"+-{dict(sorted(delta.items()))}, the grid determinant's "
-            "Alexander polynomial")
 
 
 def alexander_polynomial(hat: BigradedRanks) -> AlexanderPolynomial:

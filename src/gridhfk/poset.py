@@ -13,7 +13,8 @@ interval's parity from those entries, and the tower identities with
 them: the composites of the tower maps at level k are the parities at
 grading gap k.  On the pairs it samples, ``connecting_domain`` (the
 definition) and ``interval`` (the sub-poset itself) certify the order
-and the count.
+and the count.  ``connecting_domain`` and its ``Domain`` live here, with
+their one caller; no other command needs them.
 On top of the order this module provides interval extraction, the
 graded boundary maps of the spectral tower, connected components with
 their homology, and the edge-lexicographic labeling used to certify
@@ -32,13 +33,13 @@ from .complexes import (
     DEFAULT_MAX_ELEMENTS,
     DEFAULT_MAX_GRID,
     ChainComplex,
+    Generator,
     Rectangle,
     _check_basis_size,
     _check_coefficients,
     _check_grid_size,
     _differential,
     _term_class,
-    connecting_domain,
     move_table,
 )
 from .errors import EmptyInterval, InvalidDifferential
@@ -50,11 +51,13 @@ from .grid import Grid
 from .homology import BigradedRanks, homology
 
 __all__ = [
+    "Domain",
     "ELLabel",
     "GridPoset",
     "alexander_range",
     "build_poset",
     "components",
+    "connecting_domain",
     "del_tower",
     "del2_lands_in_boundaries",
     "el_label",
@@ -233,14 +236,14 @@ def components(p: GridPoset, coefficients: str = "F2",
     Each component is an honest direct summand of the chain complex, so
     its homology is computed by restricting the differential to it.  Over
     Z each cover takes the sign of its move out of the element's
-    generator: the closed form of ``signs.signer``, asked once per
+    generator: the closed form of ``closed_signs.signer``, asked once per
     element for its whole cover row, unless ``signs`` gives a solved
     assignment.
     """
     _check_coefficients(coefficients)
     m = len(p.elements)
     if signs is None and coefficients == "Z":
-        from .signs import signer
+        from .closed_signs import signer
 
         sign = signer(p.grid.n)
 
@@ -461,6 +464,94 @@ def el_increasing_chain_check(p: GridPoset, y, x, ref_col: int | None = None,
     increasing = [seq for seq in labeled
                   if all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))]
     return len(increasing) == 1 and increasing[0] == min(labeled)
+
+
+# ----------------------------------------------------------------- domains
+
+class Domain:
+    """2-chain of cells connecting two generators.
+
+    ``coeffs[r][c]`` is the multiplicity of the cell in row r, column c.
+    The defining constraint links the chain's alpha-boundary to the
+    generators: at every lattice point, the corner count of the chain
+    equals (points of y there) - (points of x there).
+    """
+
+    __slots__ = ("grid", "x_from", "y_to", "coeffs")
+
+    def __init__(self, grid: Grid, x_from: Generator, y_to: Generator,
+                 coeffs: tuple[tuple[int, ...], ...]):
+        self.grid = grid
+        self.x_from = x_from
+        self.y_to = y_to
+        self.coeffs = coeffs
+
+    def is_positive(self) -> bool:
+        return all(v >= 0 for row in self.coeffs for v in row)
+
+
+def _staircase_coeffs(g: Grid, x: Generator, y: Generator) -> list[list[int]]:
+    n = g.n
+    d = [[0] * n for _ in range(n)]
+    cur = list(x)
+    while True:
+        diff = [r for r in range(n) if cur[r] != y[r]]
+        if not diff:
+            break
+        r1 = diff[0]
+        ct = y[r1]
+        r2 = cur.index(ct)
+        a, b = cur[r1], r1
+        w, h = (ct - a) % n, (r2 - r1) % n
+        for dr in range(h):
+            for dc in range(w):
+                d[(b + dr) % n][(a + dc) % n] += 1
+        cur[r1], cur[r2] = cur[r2], cur[r1]
+    return d
+
+
+def connecting_domain(g: Grid, x: Generator, y: Generator,
+                      o_counts: tuple[int, ...] | None = None) -> Domain | None:
+    """The domain from ``x`` to ``y`` with multiplicity 0 at every X.
+
+    Its O multiplicities are ``o_counts``, or 0 at every O when that is
+    None; returns None when no such domain exists.  A staircase of
+    rectangles from ``x`` to ``y`` is corrected by row and column
+    annuli, whose shifts come from one walk around each cycle that the
+    markings chain the rows and columns into.  A knot has one cycle, so
+    the correction is forced and the domain unique; on a link each
+    cycle's first row keeps shift 0.
+    """
+    n = g.n
+    base = _staircase_coeffs(g, x, y)
+    if o_counts is None:
+        o_counts = (0,) * n
+
+    # Solve base[r][c] + row_shift[r] + col_shift[c] = target at all 2n
+    # markings.  Every row and every column holds one X and one O, so the
+    # markings chain rows and columns into cycles: the X of row r sits in
+    # column x_cols[r], whose O sits in row o_rows[c].  Walk each cycle
+    # from its first row with shift 0, each marking fixing the next shift;
+    # the walk closes on that row, which must get back the shift it has.
+    x_cols, o_rows = g.x_cols, g.o_rows
+    row_shift: list[int | None] = [None] * n
+    col_shift = [0] * n
+    for seed in range(n):
+        if row_shift[seed] is not None:
+            continue
+        r, shift = seed, 0
+        while row_shift[r] is None:
+            row_shift[r] = shift
+            c = x_cols[r]
+            col_shift[c] = -base[r][c] - shift
+            r = o_rows[c]
+            shift = o_counts[r] - base[r][c] - col_shift[c]
+        if row_shift[r] != shift:
+            return None
+    coeffs = tuple(
+        tuple(base[r][c] + row_shift[r] + col_shift[c] for c in range(n))
+        for r in range(n))
+    return Domain(g, x, y, coeffs)
 
 
 # ------------------------------------------------------------------- stats

@@ -20,9 +20,10 @@ from functools import lru_cache
 from math import gcd
 
 from conftest import UNKNOT2
-from gridhfk.complexes import ChainComplex, Domain, Rectangle, _staircase_coeffs
+from gridhfk.complexes import ChainComplex, Rectangle
 from gridhfk.grid import Grid
-from gridhfk.linalg import _bezout
+from gridhfk.poset import Domain, _staircase_coeffs
+from gridhfk.smith import _bezout
 
 
 def terms(cx: ChainComplex, i: int) -> list[tuple[int, int]]:

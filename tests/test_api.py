@@ -66,13 +66,19 @@ def test_unknown_name_is_an_attribute_error():
 
 def test_lazy_names_load_their_module_on_first_use():
     code = ("import sys, gridhfk\n"
-            "lazy = ('gridhfk.signs', 'gridhfk.invariants', 'gridhfk.poset')\n"
-            "before = [m in sys.modules for m in lazy]\n"
+            "lazy = ('gridhfk.moves', 'gridhfk.closed_signs', 'gridhfk.signs',\n"
+            "        'gridhfk.smith', 'gridhfk.invariants', 'gridhfk.poset')\n"
+            "print([m in sys.modules for m in lazy])\n"
             "gridhfk.genus\n"
-            "print(before, [m in sys.modules for m in lazy])\n")
+            "print([m in sys.modules for m in lazy])\n"
+            "gridhfk.connecting_domain\n"
+            "print([m in sys.modules for m in lazy])\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "[False, False, False] [False, True, False]\n"
+    assert proc.stdout.splitlines() == [
+        "[False, False, False, False, False, False]",
+        "[True, False, False, False, True, False]",
+        "[True, False, False, False, True, True]"]
 
 
 # ------------------------------------------------------------ value classes

@@ -14,7 +14,7 @@ from conftest import GRANNY9
 from conftest import KNOT8 as KNOT8_GRID
 from gridhfk import Grid, ResourceLimit, parse_grid, serialize_grid, stabilize
 from gridhfk import complexes
-from gridhfk.cli import main
+from gridhfk.cli import UsageError, build_parser, main
 from gridhfk.complexes import MoveTable
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -334,7 +334,7 @@ def test_truncate_checked_before_any_work(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("signer ran before --truncate was checked")
 
-    monkeypatch.setattr("gridhfk.signs.signer", refuse)
+    monkeypatch.setattr("gridhfk.closed_signs.signer", refuse)
     for argv in (["homology", TORUS34, "--version", "minus"],
                  ["homology", TORUS34],
                  ["poset", "stats", TREFOIL, "--version", "minus"],
@@ -345,6 +345,69 @@ def test_truncate_checked_before_any_work(capsys, monkeypatch):
         assert rc == 1, bad
         assert out == ""
         assert err.startswith("gridhfk: usage error: --truncate"), bad
+
+
+# ------------------------------------------------------------- the parser
+
+_COMMANDS = ["homology", "alexander", "genus", "fibered", "poset", "check",
+             "moves"]
+_COMMAND_PATHS = [[], *([c] for c in _COMMANDS), ["poset", "stats"],
+                  ["check", "invariance"], ["check", "signs"],
+                  ["moves", "commute"], ["moves", "stabilize"],
+                  ["moves", "destabilize"]]
+
+
+def _help(parser, path, capsys) -> str:
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args([*path, "--help"])
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", _COMMAND_PATHS,
+                         ids=lambda path: " ".join(path) or "top")
+def test_the_lazy_parser_helps_as_the_full_one(path, capsys, monkeypatch):
+    """``build_parser(command)`` fills in that command alone, which no
+    help text may show: the CLI's own help, and the top-level help of a
+    parser built for any command, equal the full parser's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _help(build_parser(), path, capsys)
+    assert full.startswith("usage: gridhfk")
+    rc, out, _ = run(capsys, [*path, "--help"])
+    assert (rc, out) == (0, full)
+    if path:
+        assert _help(build_parser(path[0]), path, capsys) == full
+    else:
+        for command in _COMMANDS + ["nosuch"]:
+            assert _help(build_parser(command), [], capsys) == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", KNOT8, "--version", "hat", "--coefficients", "f2", "--json"],
+    ["homology", KNOT8, "--version", "hat", "--coefficients", "z", "--json"],
+    ["homology", TREFOIL, "--version", "minus", "--coefficients", "z",
+     "--truncate", "2", "--json"],
+    ["poset", "stats", TREFOIL, "--version", "hat", "--coefficients", "f2",
+     "--seed", "0", "--json"],
+], ids=["hat-f2-n8", "hat-z-n7", "minus-z-n5", "poset-n5"])
+def test_the_lazy_parser_reads_the_benchmark_argvs_as_the_full_one(argv):
+    lazy = build_parser(argv[0]).parse_args(argv)
+    assert lazy == build_parser().parse_args(argv)
+    assert lazy.func.__name__ in ("_cmd_homology", "_cmd_poset_stats")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nosuch", TREFOIL],
+    ["homology", TREFOIL, "--version", "plus"],
+    ["poset", "stats"],
+], ids=["unknown-command", "bad-version", "missing-grid"])
+def test_the_lazy_parser_refuses_as_the_full_one(argv, capsys):
+    with pytest.raises(UsageError) as full:
+        build_parser().parse_args(argv)
+    with pytest.raises(UsageError) as lazy:
+        build_parser(argv[0]).parse_args(argv)
+    assert str(lazy.value) == str(full.value)
+    assert run(capsys, argv) == (1, "", f"gridhfk: usage error: {full.value}\n")
 
 
 def test_usage_error_json_stderr(capsys):
@@ -521,32 +584,68 @@ def _modules_loaded(argv):
     return code, set(names)
 
 
+# The sign solver, the grid moves and the dense Smith core: no benchmark
+# command loads them.
+_OFF_BENCH = {"gridhfk.signs", "gridhfk.moves", "gridhfk.smith"}
+
+
 @pytest.mark.parametrize("argv,needs,skips", [
     (["homology", TREFOIL, "--coefficients", "f2", "--json"],
-     {"gridhfk.invariants"}, {"gridhfk.signs", "gridhfk.poset"}),
+     {"gridhfk.homology"},
+     {"gridhfk.invariants", "gridhfk.closed_signs", "gridhfk.poset"}
+     | _OFF_BENCH),
     (["homology", TREFOIL, "--coefficients", "z", "--json"],
-     {"gridhfk.invariants", "gridhfk.signs"}, {"gridhfk.poset"}),
+     {"gridhfk.closed_signs"}, {"gridhfk.invariants", "gridhfk.poset"}
+     | _OFF_BENCH),
     (["homology", TREFOIL, "--version", "minus", "--coefficients", "z",
       "--truncate", "2", "--json"],
-     {"gridhfk.signs"}, {"gridhfk.invariants", "gridhfk.poset"}),
+     {"gridhfk.closed_signs"}, {"gridhfk.invariants", "gridhfk.poset"}
+     | _OFF_BENCH),
     (["poset", "stats", TREFOIL, "--version", "hat", "--coefficients", "f2",
       "--seed", "0", "--json"],
-     {"gridhfk.poset"}, {"gridhfk.invariants", "gridhfk.signs"}),
+     {"gridhfk.poset"}, {"gridhfk.invariants", "gridhfk.closed_signs"}
+     | _OFF_BENCH),
     (["poset", "stats", TREFOIL, "--version", "hat", "--coefficients", "z",
       "--seed", "0", "--json"],
-     {"gridhfk.poset", "gridhfk.signs"}, {"gridhfk.invariants"}),
+     {"gridhfk.poset", "gridhfk.closed_signs"}, {"gridhfk.invariants"}
+     | _OFF_BENCH),
     (["check", "signs", TREFOIL],
-     {"gridhfk.signs"}, {"gridhfk.invariants", "gridhfk.poset"}),
-], ids=["hat-f2", "hat-z", "minus-z", "poset-f2", "poset-z", "check-signs"])
+     {"gridhfk.signs", "gridhfk.closed_signs"},
+     {"gridhfk.invariants", "gridhfk.poset", "gridhfk.moves"}),
+    (["check", "invariance", TREFOIL, "--moves", "1"],
+     {"gridhfk.invariants", "gridhfk.moves"},
+     {"gridhfk.signs", "gridhfk.poset"}),
+    (["moves", "stabilize", TREFOIL, "0", "a"],
+     {"gridhfk.moves"},
+     {"gridhfk.signs", "gridhfk.closed_signs", "gridhfk.poset",
+      "gridhfk.smith"}),
+], ids=["hat-f2", "hat-z", "minus-z", "poset-f2", "poset-z", "check-signs",
+        "check-invariance", "moves-stabilize"])
 def test_a_command_loads_only_the_modules_it_runs(argv, needs, skips):
-    """The benchmark's four commands and ``check signs``, each in a fresh
+    """The benchmark's four commands and three others, each in a fresh
     process: no dataclasses or exact rationals on any of them, and the
-    invariants, the poset lab and the sign solver only where they run."""
+    invariants, the poset lab, the closed-form signs, the sign solver,
+    the grid moves and the dense Smith core only where they run."""
     code, loaded = _modules_loaded(argv)
     assert code == 0
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
     assert needs <= loaded
     assert not loaded & skips
+
+
+def test_python_m_compiles_the_cli_once():
+    """Under ``python -m gridhfk.cli``, ``cli.py`` runs as ``__main__``; a
+    module that imported ``gridhfk.cli`` would compile it a second time."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gridhfk.cli",
+         "homology", TREFOIL, "--coefficients", "z", "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"gridhfk", "gridhfk.complexes", "gridhfk.homology"} <= imported
+    assert "gridhfk.cli" not in imported
 
 
 def test_z_paths_neither_solve_signs_nor_build_the_full_table(

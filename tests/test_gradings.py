@@ -12,7 +12,8 @@ from gridhfk.complexes import (
 )
 from gridhfk.errors import NonIntegralAlexander
 from gridhfk.gradings import alexander, bigrading, maslov
-from gridhfk.grid import Grid, random_knot_grid
+from gridhfk.grid import Grid
+from gridhfk.moves import random_knot_grid
 from oracles import (
     domain_index,
     j_pair,

@@ -8,15 +8,12 @@ from hypothesis import HealthCheck, given, settings
 
 from conftest import knot_grids
 from gridhfk.errors import GridFormatError, IllegalCommutation, NotDestabilizable
-from gridhfk.grid import (
-    Grid,
+from gridhfk.grid import Grid, grid_from_json, link_components, parse_grid
+from gridhfk.moves import (
     apply_symmetry,
     commute,
     destabilize,
-    grid_from_json,
-    link_components,
     markings,
-    parse_grid,
     random_knot_grid,
     serialize_grid,
     stabilize,

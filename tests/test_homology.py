@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import FIG8, TREFOIL5
 from gridhfk.complexes import build_minus_complex, build_tilde_complex
 from gridhfk.errors import InexactDivision, InvalidDifferential
-from gridhfk.grid import Grid, random_knot_grid
+from gridhfk.grid import Grid
 from gridhfk.homology import (
     BigradedRanks,
     extract_hat,
@@ -22,7 +22,9 @@ from gridhfk.homology import (
     poincare,
     poincare_string,
 )
-from gridhfk.linalg import _dense_invariant_factors, f2_rank, invariant_factors
+from gridhfk.linalg import f2_rank, invariant_factors
+from gridhfk.moves import random_knot_grid
+from gridhfk.smith import _dense_invariant_factors
 from oracles import (
     complex_from_terms,
     invariant_form,

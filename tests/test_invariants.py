@@ -20,7 +20,7 @@ from conftest import (
 )
 from gridhfk.complexes import move_table
 from gridhfk.errors import AsymmetryDetected, InvalidHomology, ResourceLimit
-from gridhfk.grid import Grid, random_knot_grid
+from gridhfk.grid import Grid
 from gridhfk.homology import BigradedRanks
 from gridhfk.invariants import (
     AlexanderPolynomial,
@@ -32,6 +32,7 @@ from gridhfk.invariants import (
     hat_homology,
     legal_moves,
 )
+from gridhfk.moves import random_knot_grid
 
 
 def test_alexander_unknot():

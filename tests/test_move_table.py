@@ -11,8 +11,8 @@ import gridhfk.complexes as complexes
 from conftest import FIG8, TORUS34, TREFOIL5, UNKNOT2
 from gridhfk.complexes import MoveTable, _check_address_space, move_table
 from gridhfk.errors import ResourceLimit
-from gridhfk.grid import random_knot_grid
 from gridhfk.invariants import check_invariance, hat_homology
+from gridhfk.moves import random_knot_grid
 from gridhfk.poset import poset_stats
 from gridhfk.signs import solve_signs
 

@@ -10,15 +10,14 @@ from conftest import FIG8, GRANNY9, TORUS34, TREFOIL5, UNKNOT2
 from gridhfk.complexes import (
     DEFAULT_MAX_ELEMENTS,
     DEFAULT_MAX_GRID,
-    _staircase_coeffs,
     build_minus_complex,
     build_tilde_complex,
-    connecting_domain,
 )
 from gridhfk.errors import EmptyInterval, InvalidDifferential, ResourceLimit
 from gridhfk.gradings import alexander
-from gridhfk.grid import Grid, link_components, random_knot_grid
+from gridhfk.grid import Grid, link_components
 from gridhfk.homology import homology
+from gridhfk.moves import random_knot_grid
 from gridhfk import poset
 from gridhfk.poset import (
     ELLabel,
@@ -26,9 +25,11 @@ from gridhfk.poset import (
     _make_poset,
     _parities,
     _posets,
+    _staircase_coeffs,
     alexander_range,
     build_poset,
     components,
+    connecting_domain,
     del2_lands_in_boundaries,
     del_tower,
     el_increasing_chain_check,

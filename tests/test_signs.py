@@ -20,23 +20,23 @@ from conftest import (
     UNKNOT2,
     knot_grids,
 )
+from gridhfk.closed_signs import move_sign, signer
 from gridhfk.complexes import (
     build_minus_complex,
     build_tilde_complex,
     move_table,
 )
 from gridhfk.errors import UnsatisfiableSigns
-from gridhfk.grid import Grid, random_knot_grid
+from gridhfk.grid import Grid
 from gridhfk.homology import extract_hat, homology
 from gridhfk.invariants import hat_homology
+from gridhfk.moves import random_knot_grid
 from gridhfk.poset import poset_stats
 from gridhfk.signs import (
     SignAssignment,
     _lex_rank,
     _propagate,
-    move_sign,
     sign_constraints,
-    signer,
     solve_signs,
 )
 from oracles import reference_move_sign

@@ -46,15 +46,15 @@ from gridhfk.gradings import (
     maslov,
     top_generators,
 )
-from gridhfk.grid import Grid, random_knot_grid, stabilize
-from gridhfk.homology import BigradedRanks, extract_hat, homology
+from gridhfk.grid import Grid
+from gridhfk.homology import BigradedRanks, certify_hat, extract_hat, homology
 from gridhfk.invariants import (
     alexander_polynomial,
-    certify_hat,
     check_invariance,
     grid_alexander_polynomial,
     hat_homology,
 )
+from gridhfk.moves import random_knot_grid, stabilize
 from gridhfk.poset import alexander_range, poset_stats
 from gridhfk.signs import solve_signs
 
