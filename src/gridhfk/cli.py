@@ -209,7 +209,7 @@ def _cmd_homology(args) -> int:
                                  top_half=hat)
         ranks = homology(cx)
         if hat:
-            ranks = extract_hat(ranks, g.n, top_half=True)
+            ranks = extract_hat(ranks, g.n)
             certify_hat(g, ranks)
 
     label = f"minus (d={truncation})" if version == "minus" else version

@@ -18,11 +18,13 @@ moves, and a rectangle's wrap and diagonal term once for all
 generators, so a move pays only for the rows between the two it swaps.
 
 The Z complexes and the poset lab load this module; the solver in
-``signs``, which only ``check signs`` and the tests run, imports it to
-check the closed form against the axioms.
+``signs``, which only ``check signs`` and the tests run, looks
+``signer`` up here on each check of the closed form against the axioms.
 """
 
 from __future__ import annotations
+
+from .complexes import rect_ids, rect_key
 
 __all__ = ["move_sign", "signer"]
 
@@ -66,10 +68,8 @@ def move_sign(x: tuple[int, ...], b: int, t: int) -> int:
     answer for the one rectangle.
     """
     n = len(x)
-    m = n - 1
     a = x[b]
-    rid = ((a * n + b) * m + (x[t] - a) % n - 1) * m + (t - b) % n - 1
-    return signer(n)(x, [rid])[0]
+    return signer(n)(x, [rect_ids(n, a, b, (t - b) % n)[(x[t] - a) % n]])[0]
 
 
 def signer(n: int):
@@ -79,10 +79,12 @@ def signer(n: int):
     out of generator ``x`` whose rectangle has an id in ``rids``, in
     order.  Every path that wants closed-form signs (the complex
     builder, the poset covers, ``SignConstraints.closed_form``) asks this
-    one function, one generator at a time.  Each term of the exponent is
-    paid where it is fixed:
+    one function, one generator at a time; a solved ``SignAssignment``
+    answers the same call.  Each term of the exponent is paid where it
+    is fixed:
 
-    * per rectangle id, the rows lo < hi the move swaps and the parity of
+    * per rectangle id (read by ``complexes.rect_key``), the rows lo < hi
+      the move swaps and the parity of
       ``[t < b]`` and the diagonal cells covered, read on first use and
       kept by this signer, so only as long as its caller holds it;
     * per generator, the inversion masks ``inv[u]`` (the values forming
@@ -95,8 +97,7 @@ def signer(n: int):
     fixed: dict[int, tuple[int, int, int]] = {}
 
     def fix(rid: int) -> tuple[int, int, int]:
-        h, w = rid % m + 1, rid // m % m + 1
-        b, a = rid // (m * m) % n, rid // (m * m * n)
+        a, b, w, h = rect_key(n, rid)
         t = (b + h) % n
         e = t < b
         for k in range(h):

@@ -21,11 +21,11 @@ The builder reads the move table of just the class it counts: X-free
 rectangles for ``d > 1``, marking-free ones at ``d = 1``.  A table holds
 each move as two ints, the target's index and ``Rectangle.id``, so the F2
 tilde rows are its target rows; ``Rectangle`` objects are made only when
-read.  Over Z the builder asks for one generator's signs at a time, in
-row order: by default the closed form of one ``closed_signs.signer``,
-which keeps each rectangle id's fixed term while the builder runs, over
-the builder's own table, so only the sign solver (``check signs`` and
-the tests) reads the table of every empty rectangle.
+read.  Ids have one format, written by ``rect_ids`` and read back by
+``rect_key``.  Over Z the builder makes one call per generator,
+``signs(x, rids)``, for its moves' signs in row order: by default the
+closed form of ``closed_signs.signer``, so only the sign solver
+(``check signs`` and the tests) reads the table of every empty rectangle.
 
 Marking-free rectangles keep the Alexander grading, so the tilde complex
 also comes in a top half: the generators with ``A >= TOP_HALF_FLOOR``
@@ -141,9 +141,22 @@ class Rectangle:
     @property
     def id(self) -> int:
         """Key in the ``rects`` of every move table of the grid."""
-        m = self.n - 1
-        return ((self.col * self.n + self.row) * m + self.width - 1) * m \
-            + self.height - 1
+        return rect_ids(self.n, self.col, self.row, self.height)[self.width]
+
+
+def rect_ids(n: int, col: int, row: int, height: int) -> range:
+    """``Rectangle.id`` by width of the rectangles with lower-left corner
+    ``(col, row)`` and that height: the one id format (index 0 unused)."""
+    m = n - 1
+    start = (col * n + row) * m * m + height - 1 - m
+    return range(start, start + n * m, m)
+
+
+def rect_key(n: int, rid: int) -> tuple[int, int, int, int]:
+    """``(col, row, width, height)`` of the rectangle with id ``rid``."""
+    m = n - 1
+    return (rid // (m * m * n), rid // (m * m) % n, rid // m % m + 1,
+            rid % m + 1)
 
 
 _MOVE_CLASSES = ("", "X", "XO")
@@ -244,8 +257,8 @@ def _scans(g: Grid, cls: str, rects: dict | None = None):
                 room = min([room] + [(cols[r] - a) % n for cols in marks])
                 if room == 0:
                     break
-                t, rid = (r + 1) % n, (a * n + b) * m * m - m + h - 1
-                ids = tuple(range(rid, rid + n * m, m))
+                t = (r + 1) % n
+                ids = rect_ids(n, a, b, h)
                 steps.append((t, room, ids, (1 << 8 * b) - (1 << 8 * t)))
                 if rects is not None:
                     rows = [(b + dr) % n for dr in range(h)]
@@ -385,16 +398,12 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
     cls = _term_class(d)
     _check_basis_size(g, d, max_grid, max_elements)
     table = move_table(g, max_grid, cls, top_half)
-    if coefficients == "F2":
-        entry = None
-    elif signs is None:
+    if coefficients == "Z" and signs is None:
         from .closed_signs import signer  # loaded by the Z paths alone
 
-        sign, gens, rids = signer(g.n), table.gens, table.rids
-        entry = lambda i: sign(gens[i], rids[i])
-    else:
-        entry = lambda i: list(map(signs.row(table.gens[i]).__getitem__,
-                                   table.rids[i]))
+        signs = signer(g.n)
+    gens, rids = table.gens, table.rids
+    entry = None if coefficients == "F2" else lambda i: signs(gens[i], rids[i])
     labels, gradings, diff, coeffs = _differential(table, d, entry, tilde)
     return ChainComplex(coefficients, version, g, None if tilde else d,
                         labels, gradings, diff, coeffs)

@@ -226,25 +226,25 @@ def poincare_string(poly: dict[tuple[int, int], int]) -> str:
     return " + ".join(terms)
 
 
-def extract_hat(tilde: BigradedRanks, n: int,
-                top_half: bool = False) -> BigradedRanks:
-    """Peel n-1 two-step tensor factors off tilde homology.
+def extract_hat(tilde: BigradedRanks, n: int) -> BigradedRanks:
+    """Peel n-1 two-step tensor factors off the top half of tilde homology.
 
     The tilde homology of an n x n grid is the hat invariant tensored with
     n-1 copies of a rank-two piece spanning bigradings (0, 0) and (-1, -1),
     so its Poincare polynomial is divisible by (1 + 1/(q t))^(n-1).  The
     quotient's coefficients are the hat ranks.
 
-    With ``top_half`` the table holds the tilde columns A >= -1 alone
-    (``complexes.TOP_HALF_FLOOR``).  Dividing each diagonal from the top
-    down gives the hat at A >= a from the tilde columns at A >= a, so the
-    division stops at A = -1.  The symmetry HFK_d(s) = HFK_{d-2s}(-s)
-    keeps each diagonal d - s, so on every diagonal the hat at A = -1
-    must equal the hat at A = 1, else AsymmetryDetected.  That check
-    stands in for the remainder check of the full division: one wrong
-    tilde rank on a diagonal, at any A >= -1, moves the quotient at A = -1
-    and at A = 1 by different amounts once n > 2.  The groups at A < 0 are
-    then the mirror of those at A > 0.
+    Dividing each diagonal from the top down gives the hat at A >= a from
+    the tilde columns at A >= a, so only the columns A >= -1
+    (``complexes.TOP_HALF_FLOOR``) are read and the division stops at
+    A = -1; columns below, as in a full tilde table, are neither read
+    nor checked.  The symmetry HFK_d(s) = HFK_{d-2s}(-s) keeps each
+    diagonal d - s, so on every diagonal the hat at A = -1 must equal the
+    hat at A = 1, else AsymmetryDetected.  That check stands in for the
+    remainder check of a full division: one wrong tilde rank on a
+    diagonal, at any A >= -1, moves the quotient at A = -1 and at A = 1
+    by different amounts once n > 2.  The groups at A < 0 are then the
+    mirror of those at A > 0.
     """
     if tilde.has_torsion:
         raise InexactDivision("tilde homology has torsion; cannot split off "
@@ -254,14 +254,13 @@ def extract_hat(tilde: BigradedRanks, n: int,
         if free:
             diagonals.setdefault(m - a, {})[a] = free
     blocks: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    floor = TOP_HALF_FLOOR if top_half else None
     for delta, diag in diagonals.items():
         for _ in range(n - 1):
-            diag = _divide_once(diag, 1, floor)
+            diag = _divide_once(diag, 1, TOP_HALF_FLOOR)
             if not diag:
                 break
-        if top_half and any(diag.get(a, 0) != diag.get(-a, 0)
-                            for a in range(floor, 0)):
+        if any(diag.get(a, 0) != diag.get(-a, 0)
+               for a in range(TOP_HALF_FLOOR, 0)):
             raise AsymmetryDetected(
                 f"hat ranks at A < 0 on diagonal M - A = {delta} are not "
                 "the mirror of those at A > 0")
@@ -269,9 +268,9 @@ def extract_hat(tilde: BigradedRanks, n: int,
             if coeff < 0:
                 raise InexactDivision("tensor-factor quotient has a negative "
                                       "coefficient")
-            if coeff and (a >= 0 or not top_half):
+            if coeff and a >= 0:
                 blocks[(a + delta, a)] = (coeff, ())
-                if top_half and a:
+                if a:
                     blocks[(delta - a, -a)] = (coeff, ())
     return BigradedRanks(tilde.coefficients, blocks)
 

@@ -251,7 +251,7 @@ def hat_homology(g: Grid, coefficients: str = "F2",
     """
     tilde = homology(build_tilde_complex(g, coefficients, max_grid=max_grid,
                                          top_half=True))
-    hat = extract_hat(tilde, g.n, top_half=True)
+    hat = extract_hat(tilde, g.n)
     certify_hat(g, hat)
     return hat
 

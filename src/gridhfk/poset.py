@@ -75,7 +75,7 @@ class ELLabel(NamedTuple):
     s is 0 when the rectangle crosses the reference circle, i the number
     of vertical circles crossed to reach the rectangle's left edge from
     the reference circle (leftward for s = 0, rightward for s = 1), and
-    t the rectangle's thickness.
+    t the rectangle's thickness, its width.
     """
 
     s: int
@@ -245,15 +245,12 @@ def components(p: GridPoset, coefficients: str = "F2",
     if signs is None and coefficients == "Z":
         from .closed_signs import signer
 
-        sign = signer(p.grid.n)
+        signs = signer(p.grid.n)
 
     def coeffs(u: int) -> list[int]:
         """Signs of element u's covers, in the order of its cover row."""
-        x = p._split(p.elements[u])[0]
-        if signs is None:
-            return sign(x, [rect.id for _, rect in p.covers[u]])
-        row = signs.row(x)
-        return [row[rect.id] for _, rect in p.covers[u]]
+        return signs(p._split(p.elements[u])[0],
+                     [rect.id for _, rect in p.covers[u]])
 
     adjacent = [[l for l, _ in row] for row in p.covers]
     for u, row in enumerate(p.covers):
@@ -421,38 +418,26 @@ def del2_lands_in_boundaries(p: GridPoset) -> bool:
 
 # ------------------------------------------------------------- EL labeling
 
-def el_label(p: GridPoset, cover: Rectangle, ref_col: int | None = None,
-             thickness: str = "width") -> ELLabel:
+def el_label(p: GridPoset, cover: Rectangle) -> ELLabel:
     """Label of a covering rectangle relative to a vertical reference circle.
 
-    The circle sits just right of column ``ref_col`` (default: the column
-    of the X in row 0), inside a vertical band that always contains an X
-    and therefore meets no X-avoiding rectangle in a full annulus.  When
-    the rectangle's column span crosses the circle s = 0 and i counts
-    the vertical circles met going left to the rectangle's left edge;
-    otherwise s = 1 and i counts them going right.  The thickness t is
-    the rectangle's width (set ``thickness='height'`` for the variant).
+    The circle sits just right of the column of the X in row 0, inside a
+    vertical band that always contains an X and therefore meets no
+    X-avoiding rectangle in a full annulus.  When the rectangle's column
+    span crosses the circle s = 0 and i counts the vertical circles met
+    going left to the rectangle's left edge; otherwise s = 1 and i counts
+    them going right.  The thickness t is the rectangle's width; its
+    height in that place breaks the shelling property on the trefoil.
     """
     n = p.grid.n
-    ref = p.grid.x_cols[0] if ref_col is None else ref_col % n
+    ref = p.grid.x_cols[0]
     a, w = cover.col, cover.width
     if (ref - a) % n < w:
-        s = 0
-        i = (ref - a) % n + 1
-    else:
-        s = 1
-        i = (a - ref) % n
-    if thickness == "width":
-        t = cover.width
-    elif thickness == "height":
-        t = cover.height
-    else:
-        raise ValueError(f"thickness must be 'width' or 'height', got {thickness!r}")
-    return ELLabel(s, i, t)
+        return ELLabel(0, (ref - a) % n + 1, w)
+    return ELLabel(1, (a - ref) % n, w)
 
 
-def el_increasing_chain_check(p: GridPoset, y, x, ref_col: int | None = None,
-                              thickness: str = "width") -> bool:
+def el_increasing_chain_check(p: GridPoset, y, x) -> bool:
     """One weakly increasing maximal chain in [y,x], and it is lex-least.
 
     This is the defining property of an edge-lexicographic shelling,
@@ -460,7 +445,7 @@ def el_increasing_chain_check(p: GridPoset, y, x, ref_col: int | None = None,
     """
     labeled = []
     for _, rects in maximal_chains(p, y, x):
-        labeled.append(tuple(el_label(p, r, ref_col, thickness) for r in rects))
+        labeled.append(tuple(el_label(p, r) for r in rects))
     increasing = [seq for seq in labeled
                   if all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))]
     return len(increasing) == 1 and increasing[0] == min(labeled)

@@ -12,7 +12,8 @@ Such an assignment exists for every grid and is unique up to flipping all
 signs at a set of generators (Manolescu, Ozsvath, Szabo and Thurston), so
 any one of them gives the same homology.  The complexes take the closed
 form of ``closed_signs.signer``; this module is the independent route,
-which only ``check signs`` and the tests load.
+which only ``check signs`` and the tests load; its ``SignAssignment``
+answers the closed form's call, ``signs(x, rids)``.
 
 The axioms themselves are F2 equations over that table: one unknown per
 move, numbered by the move's position in the table's rows, and one
@@ -27,7 +28,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 
-from .closed_signs import signer
+from . import closed_signs
 from .complexes import DEFAULT_MAX_GRID, Generator, MoveTable, move_table
 from .errors import UnsatisfiableSigns
 from .grid import Grid
@@ -80,7 +81,8 @@ class SignConstraints:
         """``closed_signs.move_sign``'s exponents of every move, numbered as
         the unknowns."""
         table = self.table
-        sign = signer(table.grid.n)
+        # looked up on each call, so a patched ``closed_signs.signer`` is seen
+        sign = closed_signs.signer(table.grid.n)
         return bytearray(s < 0 for x, rids in zip(table.gens, table.rids)
                          for s in sign(x, rids))
 
@@ -114,16 +116,17 @@ class SignAssignment:
     def n_constraints(self) -> int:
         return len(self.constraints)
 
-    def row(self, x: Generator) -> dict[int, int]:
-        """Signs of the moves out of generator ``x``, keyed by rectangle id.
+    def __call__(self, x: Generator, rids) -> list[int]:
+        """Signs of the moves out of generator ``x`` whose rectangles have
+        the ids ``rids``, in order: the contract of ``closed_signs.signer``.
 
         The full table lists every generator in lexicographic order, so
         x's row is its rank in that order.
         """
         i = _lex_rank(x)
-        values = self.values
-        return {rid: -1 if values[v] else 1
-                for v, rid in enumerate(self.table.rids[i], self.first[i])}
+        first, values = self.first, self.values
+        unknown = dict(zip(self.table.rids[i], range(first[i], first[i + 1])))
+        return [-1 if values[unknown[rid]] else 1 for rid in rids]
 
 
 def _lex_rank(x: Generator) -> int:

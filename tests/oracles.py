@@ -11,6 +11,9 @@ diagonal the package computes alone can be certified.
 ``reference_move_sign`` is the closed-form sign as first written, one
 generator's inversion tables at a time, against which the package's
 per-generator masks and per-rectangle entries are checked.
+``full_extract_hat`` divides every column of a tilde table, with the
+remainder check, where the package divides the top half and checks the
+mirror.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from math import gcd
 
 from conftest import UNKNOT2
 from gridhfk.complexes import ChainComplex, Rectangle
+from gridhfk.errors import InexactDivision
+from gridhfk.gradings import _divide_once
 from gridhfk.grid import Grid
+from gridhfk.homology import BigradedRanks
 from gridhfk.poset import Domain, _staircase_coeffs
 from gridhfk.smith import _bezout
 
@@ -68,6 +74,30 @@ def reference_d_squared(cx: ChainComplex) -> dict[tuple[int, int], int]:
             if v:
                 out[(i, k)] = v
     return out
+
+
+def full_extract_hat(tilde: BigradedRanks, n: int) -> BigradedRanks:
+    """The hat from every tilde column: each diagonal divided by
+    (1 + 1/(q t))^(n-1) down to its lowest grading, and InexactDivision
+    on a remainder, a negative quotient or torsion."""
+    if tilde.has_torsion:
+        raise InexactDivision("tilde homology has torsion")
+    diagonals: dict[int, dict[int, int]] = {}
+    for (m, a), (free, _) in tilde.blocks.items():
+        if free:
+            diagonals.setdefault(m - a, {})[a] = free
+    blocks = {}
+    for delta, diag in diagonals.items():
+        for _ in range(n - 1):
+            diag = _divide_once(diag, 1)
+            if not diag:
+                break
+        for a, coeff in diag.items():
+            if coeff < 0:
+                raise InexactDivision("negative quotient coefficient")
+            if coeff:
+                blocks[(a + delta, a)] = (coeff, ())
+    return BigradedRanks(tilde.coefficients, blocks)
 
 
 def _as_formal_sum(value) -> list[tuple[tuple[Fraction, Fraction], Fraction]]:

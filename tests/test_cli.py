@@ -216,7 +216,7 @@ def test_check_signs_json(capsys):
 def test_check_signs_fails_a_closed_form_that_breaks_an_axiom(
         capsys, monkeypatch):
     """All +1 signs give every vertical annulus the product +1."""
-    monkeypatch.setattr("gridhfk.signs.signer",
+    monkeypatch.setattr("gridhfk.closed_signs.signer",
                         lambda n: lambda x, rids: [1] * len(rids))
     rc, out, err = run(capsys, ["check", "signs", TREFOIL])
     assert rc == 2

@@ -11,9 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG8, TREFOIL5
+from conftest import COMPOSITE6, FIG8, TORUS34, TREFOIL5, TWIST52
 from gridhfk.complexes import build_minus_complex, build_tilde_complex
-from gridhfk.errors import InexactDivision, InvalidDifferential
+from gridhfk.errors import (
+    AsymmetryDetected,
+    InexactDivision,
+    InvalidDifferential,
+)
 from gridhfk.grid import Grid
 from gridhfk.homology import (
     BigradedRanks,
@@ -27,6 +31,7 @@ from gridhfk.moves import random_knot_grid
 from gridhfk.smith import _dense_invariant_factors
 from oracles import (
     complex_from_terms,
+    full_extract_hat,
     invariant_form,
     reference_d_squared,
     smith_normal_form,
@@ -637,17 +642,27 @@ def test_corrupted_differential_raises_under_optimize():
 
 
 def test_extract_hat_unknot():
+    """Also on every fixture up to n = 7: the top-half division of the
+    full tilde table is the full division's hat, over both rings.  A
+    table whose quotient is not its own mirror raises."""
     ranks = homology(build_tilde_complex(UNKNOT2))
     hat = extract_hat(ranks, 2)
     assert hat.blocks == {(0, 0): (1, ())}
+    for g in (UNKNOT2, TREFOIL5, FIG8, COMPOSITE6, TORUS34, TWIST52):
+        for coefficients in ("F2", "Z"):
+            tilde = homology(build_tilde_complex(g, coefficients))
+            assert extract_hat(tilde, g.n) == full_extract_hat(tilde, g.n)
+    with pytest.raises(AsymmetryDetected, match="mirror"):
+        extract_hat(BigradedRanks("F2", {(0, 0): (1, ())}), 2)
 
 
 def test_extract_hat_inexact():
     with pytest.raises(InexactDivision):
-        extract_hat(BigradedRanks("F2", {(0, 0): (1, ())}), 2)
+        full_extract_hat(BigradedRanks("F2", {(0, 0): (1, ())}), 2)
     with pytest.raises(InexactDivision):
-        extract_hat(BigradedRanks("F2", {(0, 0): (1, ()), (-1, -1): (1, ()),
-                                         (-2, -2): (1, ())}), 2)
+        full_extract_hat(BigradedRanks("F2", {(0, 0): (1, ()),
+                                              (-1, -1): (1, ()),
+                                              (-2, -2): (1, ())}), 2)
 
 
 def test_poincare_polynomial():

@@ -8,7 +8,8 @@ homology of a split union of l knots is the tensor product of theirs
 with l - 1 factors of rank two (Ozsvath-Szabo, arXiv:math/0512286), and
 the tilde complex of an n grid adds n - l more, so the tilde rank of a
 split union of three knots is 4 times the product of the knots' tilde
-ranks.  Torus knots are L-space knots, so Delta fixes their hat: one
+ranks.  A connected sum is fibered exactly when both summands are
+(Gabai).  Torus knots are L-space knots, so Delta fixes their hat: one
 group Z in each grading of Delta, with Maslov gradings read off the
 staircase.  These are the tier-1 cases past n = 9.
 """
@@ -26,6 +27,7 @@ from conftest import (
     FIG8,
     GRANNY9,
     TREFOIL5,
+    TWIST52,
     UNKNOT2,
     connected_sum,
     knot_grids,
@@ -37,6 +39,7 @@ from gridhfk.grid import link_components
 from gridhfk.homology import BigradedRanks, homology
 from gridhfk.invariants import (
     alexander_polynomial,
+    fibered,
     genus,
     grid_alexander_polynomial,
     hat_homology,
@@ -126,6 +129,21 @@ def test_connected_sums_past_n10(g1, g2):
     """The hat over F2, and the genus adds."""
     hat, factors = _check_sum(g1, g2, "F2", max_grid=12)
     assert genus(hat) == sum(map(genus, factors))
+
+
+@pytest.mark.parametrize("g1, g2, expected", [(TREFOIL5, FIG8, True),
+                                              (TREFOIL5, TWIST52, False)],
+                         ids=["trefoil5-fig8-n11", "trefoil5-twist52-n12"])
+def test_connected_sum_fiberedness_past_n10(g1, g2, expected):
+    """Over Z: a connected sum is fibered exactly when both summands are
+    (Gabai), and the genus adds."""
+    g = connected_sum(g1, g2)
+    assert link_components(g) == 1
+    hat = hat_homology(g, "Z", max_grid=12)
+    factors = [hat_homology(f, "Z") for f in (g1, g2)]
+    assert fibered(hat) is expected
+    assert all(map(fibered, factors)) is expected
+    assert genus(hat) == sum(map(genus, factors)) == 2
 
 
 def _tilde_rank(g, coefficients) -> int:

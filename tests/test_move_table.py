@@ -9,7 +9,14 @@ import pytest
 
 import gridhfk.complexes as complexes
 from conftest import FIG8, TORUS34, TREFOIL5, UNKNOT2
-from gridhfk.complexes import MoveTable, _check_address_space, move_table
+from gridhfk.complexes import (
+    MoveTable,
+    Rectangle,
+    _check_address_space,
+    move_table,
+    rect_ids,
+    rect_key,
+)
 from gridhfk.errors import ResourceLimit
 from gridhfk.invariants import check_invariance, hat_homology
 from gridhfk.moves import random_knot_grid
@@ -112,6 +119,21 @@ def test_rectangles_are_built_on_first_read():
     assert "rects" not in vars(table)
     assert table.rects is table.rects
     assert {rid for rids in table.rids for rid in rids} <= set(table.rects)
+
+
+def test_rect_key_reads_back_every_id():
+    """The ids of the n^2 (n-1)^2 placements are 0, 1, ... in turn, and
+    ``rect_key`` and ``Rectangle.id`` agree with ``rect_ids``."""
+    for n in range(2, 8):
+        placements = [(c, r, w, h) for c in range(n) for r in range(n)
+                      for w in range(1, n) for h in range(1, n)]
+        ids = [rect_ids(n, c, r, h)[w] for c, r, w, h in placements]
+        assert sorted(ids) == list(range(len(placements)))
+        for rid, (c, r, w, h) in zip(ids, placements):
+            assert rect_key(n, rid) == (c, r, w, h)
+            assert Rectangle(n, c, r, w, h, (), ()).id == rid
+    for rid, rect in move_table(FIG8).rects.items():
+        assert rect_key(FIG8.n, rid) == rect.key
 
 
 def test_unknown_class_refused():

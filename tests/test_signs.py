@@ -108,8 +108,8 @@ def test_flip_at_one_generator_is_still_valid():
             if (i == target) != (j == target):
                 flipped[v] ^= 1
     sa2 = SignAssignment(sa.constraints, flipped)
-    x = table.gens[target]
-    assert sa2.row(x) == {rid: -s for rid, s in sa.row(x).items()}
+    x, rids = table.gens[target], table.rids[target]
+    assert sa2(x, rids) == [-s for s in sa(x, rids)]
     cx = build_tilde_complex(g, "Z", sa2)
     assert not cx.d_squared()
     _check_annulus_products(g, sa2)
@@ -301,7 +301,7 @@ def test_closed_form_and_solver_give_equal_z_tables(g):
     closed, solved = both_routes(build_tilde_complex, g, sa=sa, top_half=True)
     assert closed.blocks == solved.blocks
     assert hat_homology(g, "Z").blocks == \
-        extract_hat(solved, g.n, top_half=True).blocks
+        extract_hat(solved, g.n).blocks
 
 
 def test_closed_form_and_solver_give_equal_z_minus():

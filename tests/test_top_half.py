@@ -4,7 +4,7 @@ The hat path builds the tilde columns A >= -1 alone, divides them down
 to A = -1, checks the column A = -1 against the mirror of A = 1, mirrors
 the rest, and checks the result against the Alexander polynomial of the
 grid determinant.  The oracle is the full path: every tilde column, then
-``extract_hat`` with its remainder check.
+``oracles.full_extract_hat`` with its remainder check.
 """
 
 import collections
@@ -57,6 +57,7 @@ from gridhfk.invariants import (
 from gridhfk.moves import random_knot_grid, stabilize
 from gridhfk.poset import alexander_range, poset_stats
 from gridhfk.signs import solve_signs
+from oracles import full_extract_hat
 
 HOPF = Grid(4, (0, 1, 2, 3), (2, 3, 0, 1))
 # three-component links, on which every Alexander grading is an integer
@@ -79,7 +80,7 @@ def full_hat(g, coefficients="F2"):
     """The oracle: every tilde column, divided with the remainder check."""
     signs = solve_signs(g) if coefficients == "Z" else None
     tilde = homology(build_tilde_complex(g, coefficients, signs))
-    return extract_hat(tilde, g.n)
+    return full_extract_hat(tilde, g.n)
 
 
 def nontrivial_knots(n, k, seed):
@@ -207,7 +208,7 @@ def test_a_lost_differential_rank_passes_the_certificate_not_the_mirror(g):
     for m, a in tilde.blocks:
         lost = BigradedRanks("F2", bump(tilde.blocks, (m, a), (m - 1, a)))
         with pytest.raises(AsymmetryDetected, match="mirror"):
-            extract_hat(lost, g.n, top_half=True)
+            extract_hat(lost, g.n)
 
 
 # ------------------------------------------------------------ the subset
