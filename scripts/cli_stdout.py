@@ -34,8 +34,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # knot8 of the benchmark's fixed jobs, inline
 KNOT8 = "8;X=6,4,3,1,5,0,7,2;O=0,1,7,6,2,3,5,4"
 # a three-component split unlink: knot invariants refuse it, while the
-# tilde table, which needs no knot, prints
+# tilde table prints; it needs no knot, only the integral Alexander
+# grading an odd number of components gives
 UNLINK3 = "6;X=0,1,2,3,4,5;O=1,0,3,2,5,4"
+# a two-component split unlink: an even number of components makes the
+# Alexander grading half-integral, so the tilde table and check signs,
+# which both build gradings, refuse it too
+UNLINK2 = "4;X=0,1,2,3;O=1,0,3,2"
 # trefoil5 # trefoil5, a granny knot, at n = 10: the first factor's top
 # right X and the second's bottom left X exchange columns
 GRANNY10 = "10;X=0,1,2,3,5,4,6,7,8,9;O=2,3,4,0,1,7,8,9,5,6"
@@ -70,6 +75,7 @@ COMMANDS = [
     f"alexander {UNLINK3}",
     f"homology {UNLINK3} --version tilde",
     f"homology {UNLINK3} --version tilde --coefficients z",
+    f"homology {UNLINK2} --version tilde",
     "genus fixtures/torus34.grid",
     "fibered fixtures/torus34.grid",
     "poset stats fixtures/torus34.grid",
@@ -85,6 +91,7 @@ COMMANDS = [
     "--coefficients z",
     "check signs fixtures/torus34.grid",
     "check signs fixtures/fig8.grid --json",
+    f"check signs {UNLINK2}",
     "--help",
     "homology --help",
     "poset stats --help",

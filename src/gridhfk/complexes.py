@@ -323,18 +323,15 @@ class ChainComplex:
     term counts once.  A complex is a mutable record with no hash.
     """
 
-    __slots__ = ("coefficients", "version", "grid", "truncation", "labels",
-                 "gradings", "diff", "coeffs")
+    __slots__ = ("coefficients", "version", "labels", "gradings", "diff",
+                 "coeffs")
     __hash__ = None
 
-    def __init__(self, coefficients: str, version: str, grid: Grid,
-                 truncation: int | None, labels: list,
+    def __init__(self, coefficients: str, version: str, labels: list,
                  gradings: list[tuple[int, int]], diff: list[list[int]],
                  coeffs: list[list[int]] | None = None):
         self.coefficients = coefficients
         self.version = version
-        self.grid = grid
-        self.truncation = truncation
         self.labels = labels
         self.gradings = gradings
         self.diff = diff
@@ -405,8 +402,7 @@ def _complex(g: Grid, d: int, coefficients: str, signs, version: str,
     gens, rids = table.gens, table.rids
     entry = None if coefficients == "F2" else lambda i: signs(gens[i], rids[i])
     labels, gradings, diff, coeffs = _differential(table, d, entry, tilde)
-    return ChainComplex(coefficients, version, g, None if tilde else d,
-                        labels, gradings, diff, coeffs)
+    return ChainComplex(coefficients, version, labels, gradings, diff, coeffs)
 
 
 def _term_class(d: int) -> str:

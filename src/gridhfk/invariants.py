@@ -257,14 +257,13 @@ def hat_homology(g: Grid, coefficients: str = "F2",
 
 
 class InvarianceReport:
-    """Hat tables along a move sequence, compared against the start."""
+    """Hat tables along a move sequence, compared against ``grids[0]``."""
 
-    __slots__ = ("start", "moves", "grids", "tables", "divergence")
+    __slots__ = ("moves", "grids", "tables", "divergence")
 
-    def __init__(self, start: Grid, moves: tuple[MoveDescriptor, ...],
+    def __init__(self, moves: tuple[MoveDescriptor, ...],
                  grids: tuple[Grid, ...], tables: tuple[BigradedRanks, ...],
                  divergence: int | None):
-        self.start = start
         self.moves = moves
         self.grids = grids
         self.tables = tables
@@ -328,5 +327,5 @@ def check_invariance(g: Grid, moves, seed: int = 0, coefficients: str = "F2",
         if tables[i].blocks != tables[0].blocks:
             divergence = i
             break
-    return InvarianceReport(start=g, moves=descriptors, grids=tuple(grids),
+    return InvarianceReport(moves=descriptors, grids=tuple(grids),
                             tables=tuple(tables), divergence=divergence)

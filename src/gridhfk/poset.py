@@ -34,13 +34,13 @@ from .complexes import (
     DEFAULT_MAX_GRID,
     ChainComplex,
     Generator,
-    Rectangle,
     _check_basis_size,
     _check_coefficients,
     _check_grid_size,
     _differential,
     _term_class,
     move_table,
+    rect_key,
 )
 from .errors import EmptyInterval, InvalidDifferential
 from .gradings import _generator_sums
@@ -88,8 +88,9 @@ class GridPoset:
 
     ``elements`` are generators in hat mode, or (generator, exponents)
     pairs in truncated minus mode.  ``covers[u]`` is element u's row of
-    the differential: its (lower, rectangle) pairs, each rectangle
-    realizing the covering move from u down to lower.  y <= x when a
+    the differential: its (lower, rect_id) int pairs, each id the one the
+    move table gives the rectangle that realizes the covering move from
+    u down to lower (read back by ``complexes.rect_key``).  y <= x when a
     positive domain with the required marking multiplicities connects x
     to y; those are exactly the chains of covers, so ``below[i]`` holds
     the closure: bit j is set when element j is at or below element i.
@@ -97,16 +98,15 @@ class GridPoset:
     ``_make_poset``.
     """
 
-    __slots__ = ("grid", "mode", "truncation", "alexander", "elements",
-                 "maslov", "covers", "below", "index")
+    __slots__ = ("grid", "mode", "alexander", "elements", "maslov", "covers",
+                 "below", "index")
 
-    def __init__(self, grid: Grid, mode: str, truncation: int | None,
-                 alexander: int, elements: tuple, maslov: tuple[int, ...],
-                 covers: tuple[tuple[tuple[int, Rectangle], ...], ...],
+    def __init__(self, grid: Grid, mode: str, alexander: int,
+                 elements: tuple, maslov: tuple[int, ...],
+                 covers: tuple[tuple[tuple[int, int], ...], ...],
                  below: tuple[int, ...], index: dict):
         self.grid = grid
         self.mode = mode
-        self.truncation = truncation
         self.alexander = alexander
         self.elements = elements
         self.maslov = maslov
@@ -126,8 +126,8 @@ class GridPoset:
         return (element, (0,) * self.grid.n) if self.mode == "hat" else element
 
 
-def _make_poset(g: Grid, mode: str, truncation: int | None, a: int,
-                elements, maslov, covers, members) -> GridPoset:
+def _make_poset(g: Grid, mode: str, a: int, elements, maslov, covers,
+                members) -> GridPoset:
     """The poset on ``members``, with its order closed over the cover rows.
 
     ``members`` are ascending indices into ``elements``, ``maslov`` and
@@ -137,7 +137,7 @@ def _make_poset(g: Grid, mode: str, truncation: int | None, a: int,
     is complete when it is merged into the upper one.
     """
     local = {z: i for i, z in enumerate(members)}
-    rows = tuple(tuple((local[l], rect) for l, rect in covers[z] if l in local)
+    rows = tuple(tuple((local[l], rid) for l, rid in covers[z] if l in local)
                  for z in members)
     grading = tuple(maslov[z] for z in members)
     below = [1 << i for i in range(len(members))]
@@ -145,9 +145,8 @@ def _make_poset(g: Grid, mode: str, truncation: int | None, a: int,
         for lower, _ in rows[upper]:
             below[upper] |= below[lower]
     kept = tuple(elements[z] for z in members)
-    return GridPoset(grid=g, mode=mode, truncation=truncation, alexander=a,
-                     elements=kept, maslov=grading, covers=rows,
-                     below=tuple(below),
+    return GridPoset(grid=g, mode=mode, alexander=a, elements=kept,
+                     maslov=grading, covers=rows, below=tuple(below),
                      index={e: i for i, e in enumerate(kept)})
 
 
@@ -188,8 +187,8 @@ def _posets(g: Grid, mode: str, truncation: int | None, gradings,
 
     The builder walks the whole basis once; the differential keeps A, so
     each grading's elements carry their whole cover rows.  The builder's
-    coefficient rows are the moves' rectangle ids, so each cover takes
-    its rectangle from the table's ``rects``.
+    coefficient rows are the moves' rectangle ids, which the covers keep
+    as they come.
     """
     d = _truncation(mode, truncation)
     cls = _term_class(d)
@@ -197,19 +196,17 @@ def _posets(g: Grid, mode: str, truncation: int | None, gradings,
     _check_basis_size(g, d, max_grid, max_elements,
                       "hat" if hat else "truncated minus")
     table = move_table(g, max_grid, cls)
-    rects = table.rects
     elements, bigradings, rows, rids = _differential(
         table, d, table.rids.__getitem__, hat)
     del table
-    covers = [list(zip(row, map(rects.__getitem__, ids)))
-              for row, ids in zip(rows, rids)]
+    covers = [list(zip(row, ids)) for row, ids in zip(rows, rids)]
     members = {a: [] for a in gradings}
     for i, (_, a) in enumerate(bigradings):
         if a in members:
             members[a].append(i)
     maslov = [m for m, _ in bigradings]
-    return [_make_poset(g, mode, truncation, a, elements, maslov, covers,
-                        members[a]) for a in gradings]
+    return [_make_poset(g, mode, a, elements, maslov, covers, members[a])
+            for a in gradings]
 
 
 def alexander_range(g: Grid, mode: str = "hat", truncation: int | None = None,
@@ -250,7 +247,7 @@ def components(p: GridPoset, coefficients: str = "F2",
     def coeffs(u: int) -> list[int]:
         """Signs of element u's covers, in the order of its cover row."""
         return signs(p._split(p.elements[u])[0],
-                     [rect.id for _, rect in p.covers[u]])
+                     [rid for _, rid in p.covers[u]])
 
     adjacent = [[l for l, _ in row] for row in p.covers]
     for u, row in enumerate(p.covers):
@@ -274,8 +271,7 @@ def components(p: GridPoset, coefficients: str = "F2",
         comp.sort()
         local = {v: i for i, v in enumerate(comp)}
         rows = [[local[l] for l, _ in p.covers[v]] for v in comp]
-        cc = ChainComplex(coefficients, p.mode, p.grid, p.truncation,
-                          [p.elements[v] for v in comp],
+        cc = ChainComplex(coefficients, p.mode, [p.elements[v] for v in comp],
                           [(p.maslov[v], p.alexander) for v in comp], rows,
                           list(map(coeffs, comp)) if coefficients == "Z"
                           else None)
@@ -301,14 +297,14 @@ def interval(p: GridPoset, y, x, shape: str = "closed") -> GridPoset:
     dropped = {"closed": (), "half": (yi,), "open": (yi, xi)}[shape]
     members = [z for z in _bits(p.below[xi])
                if p.below[z] >> yi & 1 and z not in dropped]
-    return _make_poset(p.grid, p.mode, p.truncation, p.alexander,
-                       p.elements, p.maslov, p.covers, members)
+    return _make_poset(p.grid, p.mode, p.alexander, p.elements, p.maslov,
+                       p.covers, members)
 
 
 def maximal_chains(p: GridPoset, y, x):
     """Saturated chains from y up to x, with the rectangles they use.
 
-    Returns a list of (element index tuple, rectangle tuple) pairs, in
+    Returns a list of (element index tuple, rectangle id tuple) pairs, in
     the ambient poset's indexing, each path running from y up to x.
     Every cover step lowers the grading by one, so any walk down the
     cover rows from x through elements above y that reaches y is a
@@ -317,17 +313,17 @@ def maximal_chains(p: GridPoset, y, x):
     if not p.leq(y, x):
         raise EmptyInterval(f"{y} is not below {x}")
     yi, xi = p.index[y], p.index[x]
-    chains: list[tuple[tuple[int, ...], tuple[Rectangle, ...]]] = []
+    chains: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     stack = [((xi,), ())]
     while stack:
-        path, rects = stack.pop()
+        path, rids = stack.pop()
         last = path[-1]
         if last == yi:
-            chains.append((path[::-1], rects[::-1]))
+            chains.append((path[::-1], rids[::-1]))
             continue
-        for l, rect in p.covers[last]:
+        for l, rid in p.covers[last]:
             if p.below[l] >> yi & 1:
-                stack.append((path + (l,), rects + (rect,)))
+                stack.append((path + (l,), rids + (rid,)))
     return chains
 
 
@@ -418,8 +414,8 @@ def del2_lands_in_boundaries(p: GridPoset) -> bool:
 
 # ------------------------------------------------------------- EL labeling
 
-def el_label(p: GridPoset, cover: Rectangle) -> ELLabel:
-    """Label of a covering rectangle relative to a vertical reference circle.
+def el_label(p: GridPoset, rid: int) -> ELLabel:
+    """Label of cover rectangle ``rid`` against a vertical reference circle.
 
     The circle sits just right of the column of the X in row 0, inside a
     vertical band that always contains an X and therefore meets no
@@ -431,7 +427,7 @@ def el_label(p: GridPoset, cover: Rectangle) -> ELLabel:
     """
     n = p.grid.n
     ref = p.grid.x_cols[0]
-    a, w = cover.col, cover.width
+    a, _, w, _ = rect_key(n, rid)
     if (ref - a) % n < w:
         return ELLabel(0, (ref - a) % n + 1, w)
     return ELLabel(1, (a - ref) % n, w)
@@ -444,8 +440,8 @@ def el_increasing_chain_check(p: GridPoset, y, x) -> bool:
     verified by brute-force chain enumeration.
     """
     labeled = []
-    for _, rects in maximal_chains(p, y, x):
-        labeled.append(tuple(el_label(p, r) for r in rects))
+    for _, rids in maximal_chains(p, y, x):
+        labeled.append(tuple(el_label(p, rid) for rid in rids))
     increasing = [seq for seq in labeled
                   if all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))]
     return len(increasing) == 1 and increasing[0] == min(labeled)
@@ -475,40 +471,24 @@ class Domain:
         return all(v >= 0 for row in self.coeffs for v in row)
 
 
-def _staircase_coeffs(g: Grid, x: Generator, y: Generator) -> list[list[int]]:
-    n = g.n
-    d = [[0] * n for _ in range(n)]
-    cur = list(x)
-    while True:
-        diff = [r for r in range(n) if cur[r] != y[r]]
-        if not diff:
-            break
-        r1 = diff[0]
-        ct = y[r1]
-        r2 = cur.index(ct)
-        a, b = cur[r1], r1
-        w, h = (ct - a) % n, (r2 - r1) % n
-        for dr in range(h):
-            for dc in range(w):
-                d[(b + dr) % n][(a + dc) % n] += 1
-        cur[r1], cur[r2] = cur[r2], cur[r1]
-    return d
-
-
 def connecting_domain(g: Grid, x: Generator, y: Generator,
                       o_counts: tuple[int, ...] | None = None) -> Domain | None:
     """The domain from ``x`` to ``y`` with multiplicity 0 at every X.
 
     Its O multiplicities are ``o_counts``, or 0 at every O when that is
-    None; returns None when no such domain exists.  A staircase of
-    rectangles from ``x`` to ``y`` is corrected by row and column
-    annuli, whose shifts come from one walk around each cycle that the
-    markings chain the rows and columns into.  A knot has one cycle, so
-    the correction is forced and the domain unique; on a link each
-    cycle's first row keeps shift 0.
+    None; returns None when no such domain exists.  The planar domain,
+    whose row r is the sum over rows i <= r of [y[i] > c] - [x[i] > c],
+    is corrected by row and column annuli, whose shifts come from one
+    walk around each cycle that the markings chain the rows and columns
+    into.  A knot has one cycle, so the correction is forced and the
+    domain unique; on a link each cycle's first row keeps shift 0, which
+    picks one of the domains that annuli free of markings relate.
     """
     n = g.n
-    base = _staircase_coeffs(g, x, y)
+    base, run = [], [0] * n
+    for xr, yr in zip(x, y):
+        run = [v + (yr > c) - (xr > c) for c, v in enumerate(run)]
+        base.append(run)
     if o_counts is None:
         o_counts = (0,) * n
 

@@ -4,8 +4,10 @@ Complexes store each differential row as target indices, with a parallel
 coefficient row over Z only.  The helpers here read and write rows of
 ``(target, coefficient)`` pairs, the form the references are stated in.
 ``j_pair`` is the planar pairing that defines the gradings, on exact
-rationals.  The domain checks read a ``Domain`` by its definition, and
-``staircase_domain`` joins any two generators by rectangles.
+rationals.  The domain checks read a ``Domain`` by its definition.
+``staircase_domain`` joins any two generators by rectangles; its cells,
+``staircase_coeffs``, are the oracle for the planar base of
+``poset.connecting_domain``.
 ``smith_normal_form`` carries its unimodular transforms, so that the
 diagonal the package computes alone can be certified.
 ``reference_move_sign`` is the closed-form sign as first written, one
@@ -22,13 +24,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from conftest import UNKNOT2
 from gridhfk.complexes import ChainComplex, Rectangle
 from gridhfk.errors import InexactDivision
 from gridhfk.gradings import _divide_once
 from gridhfk.grid import Grid
 from gridhfk.homology import BigradedRanks
-from gridhfk.poset import Domain, _staircase_coeffs
+from gridhfk.poset import Domain
 from gridhfk.smith import _bezout
 
 
@@ -39,8 +40,8 @@ def terms(cx: ChainComplex, i: int) -> list[tuple[int, int]]:
                     else cx.coeffs[i]))
 
 
-def complex_from_terms(coefficients: str, labels, gradings, rows,
-                       grid: Grid = UNKNOT2) -> ChainComplex:
+def complex_from_terms(coefficients: str, labels, gradings,
+                       rows) -> ChainComplex:
     """A tilde complex from rows of ``(target, coefficient)`` pairs.
 
     Over F2 a row keeps, once each, the terms with an odd coefficient.
@@ -51,8 +52,8 @@ def complex_from_terms(coefficients: str, labels, gradings, rows,
     else:
         diff = [[j for j, _ in row] for row in rows]
         coeffs = [[c for _, c in row] for row in rows]
-    return ChainComplex(coefficients, "tilde", grid, None, list(labels),
-                        list(gradings), diff, coeffs)
+    return ChainComplex(coefficients, "tilde", list(labels), list(gradings),
+                        diff, coeffs)
 
 
 def reference_d_squared(cx: ChainComplex) -> dict[tuple[int, int], int]:
@@ -120,10 +121,33 @@ def j_pair(a, b) -> Fraction:
     return total
 
 
+def staircase_coeffs(g: Grid, x, y) -> list[list[int]]:
+    """Cell multiplicities of a staircase of rectangles from ``x`` to
+    ``y``, each swapping the first row where the two still differ into
+    place.  It differs from the planar base of ``connecting_domain`` by
+    row and column annuli alone."""
+    n = g.n
+    d = [[0] * n for _ in range(n)]
+    cur = list(x)
+    while True:
+        diff = [r for r in range(n) if cur[r] != y[r]]
+        if not diff:
+            break
+        r1 = diff[0]
+        ct = y[r1]
+        r2 = cur.index(ct)
+        a, b = cur[r1], r1
+        w, h = (ct - a) % n, (r2 - r1) % n
+        for dr in range(h):
+            for dc in range(w):
+                d[(b + dr) % n][(a + dc) % n] += 1
+        cur[r1], cur[r2] = cur[r2], cur[r1]
+    return d
+
+
 def staircase_domain(g: Grid, x, y) -> Domain:
-    """A domain from ``x`` to ``y``: a staircase of rectangles, each
-    swapping the first row where the two still differ into place."""
-    base = _staircase_coeffs(g, x, y)
+    """A domain from ``x`` to ``y``: the staircase of ``staircase_coeffs``."""
+    base = staircase_coeffs(g, x, y)
     return Domain(g, x, y, tuple(tuple(row) for row in base))
 
 

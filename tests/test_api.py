@@ -145,8 +145,7 @@ def test_alexander_polynomials_compare_by_coefficients_and_flag():
 
 
 def test_chain_complex_is_unhashable():
-    g = Grid(2, (0, 1), (1, 0))
-    cx = ChainComplex("F2", "tilde", g, None, [(0, 1)], [(0, 0)], [[]])
+    cx = ChainComplex("F2", "tilde", [(0, 1)], [(0, 0)], [[]])
     with pytest.raises(TypeError):
         hash(cx)
 

@@ -316,7 +316,7 @@ def test_invariance_report_flags_divergence():
     table_t = hat_homology(TREFOIL5, "F2")
     table_u = hat_homology(UNKNOT2, "F2")
     from gridhfk.invariants import InvarianceReport
-    report = InvarianceReport(start=TREFOIL5, moves=(("stabilize", 0, "a"),),
+    report = InvarianceReport(moves=(("stabilize", 0, "a"),),
                               grids=(TREFOIL5, UNKNOT2),
                               tables=(table_t, table_u), divergence=1)
     assert not report.ok

@@ -12,6 +12,8 @@ from gridhfk.complexes import (
     DEFAULT_MAX_GRID,
     build_minus_complex,
     build_tilde_complex,
+    move_table,
+    rect_key,
 )
 from gridhfk.errors import EmptyInterval, InvalidDifferential, ResourceLimit
 from gridhfk.gradings import alexander
@@ -25,7 +27,6 @@ from gridhfk.poset import (
     _make_poset,
     _parities,
     _posets,
-    _staircase_coeffs,
     alexander_range,
     build_poset,
     components,
@@ -40,7 +41,7 @@ from gridhfk.poset import (
     tower_sum,
 )
 from gridhfk.signs import solve_signs
-from oracles import verify_boundary
+from oracles import staircase_coeffs, verify_boundary
 
 UNKNOT3 = Grid(3, (0, 1, 2), (1, 2, 0))
 
@@ -76,8 +77,8 @@ def test_build_poset_matches_the_one_pass_posets(g):
 
 
 def flat_covers(p):
-    """(upper, lower, rectangle) triples of the poset's cover rows."""
-    return [(u, l, rect) for u, row in enumerate(p.covers) for l, rect in row]
+    """(upper, lower, rect_id) triples of the poset's cover rows."""
+    return [(u, l, rid) for u, row in enumerate(p.covers) for l, rid in row]
 
 
 def related_pairs(p, min_diff=1, max_diff=None):
@@ -206,15 +207,23 @@ def domain_leq(p, y, x):
     return dom is not None and dom.is_positive()
 
 
-def reference_zero_xo(g, x, y, o_counts=None):
+def planar_base(n, x, y):
+    """Row r, column c: the points of y minus the points of x in rows
+    0..r right of column c, counted one row at a time."""
+    return [[sum((y[i] > c) - (x[i] > c) for i in range(r + 1))
+             for c in range(n)] for r in range(n)]
+
+
+def reference_zero_xo(g, x, y, o_counts=None, base=None):
     """Coefficients of the zero-XO domain from x to y, or None.
 
     The row and column shifts are found by a search over the marking
     incidence graph, rows and columns as its two kinds of node, with
     each marking an edge that prescribes the sum of its two shifts.
+    They correct ``base``, the planar base by default.
     """
     n = g.n
-    base = _staircase_coeffs(g, x, y)
+    base = planar_base(n, x, y) if base is None else base
     o_counts = (0,) * n if o_counts is None else o_counts
     edges = [[(g.x_cols[r], -base[r][g.x_cols[r]]),
               (g.o_cols[r], o_counts[r] - base[r][g.o_cols[r]])]
@@ -243,6 +252,27 @@ def reference_zero_xo(g, x, y, o_counts=None):
                        for c in range(n)) for r in range(n))
 
 
+def random_grid(rng, n):
+    """A grid with random X and O columns: a knot or a link."""
+    x_cols = rng.sample(range(n), n)
+    while True:
+        o_cols = rng.sample(range(n), n)
+        if all(a != b for a, b in zip(x_cols, o_cols)):
+            return Grid(n, tuple(x_cols), tuple(o_cols))
+
+
+def planted_o_counts(g, base, rng):
+    """O multiplicities of ``base`` shifted by random row annuli and the
+    column annuli that clear every X: a domain with them exists."""
+    n = g.n
+    rows = [rng.randint(-2, 2) for _ in range(n)]
+    cols = [0] * n
+    for r in range(n):
+        cols[g.x_cols[r]] = -base[r][g.x_cols[r]] - rows[r]
+    return tuple(base[r][g.o_cols[r]] + rows[r] + cols[g.o_cols[r]]
+                 for r in range(n))
+
+
 def test_connecting_domain_matches_graph_search_reference():
     """Random grids, links among them, with O counts that are absent,
     random, or read off a domain that has them (so one exists)."""
@@ -250,12 +280,7 @@ def test_connecting_domain_matches_graph_search_reference():
     found = none = links = 0
     for case in range(6000):
         n = rng.randint(2, 7)
-        x_cols = rng.sample(range(n), n)
-        while True:
-            o_cols = rng.sample(range(n), n)
-            if all(a != b for a, b in zip(x_cols, o_cols)):
-                break
-        g = Grid(n, tuple(x_cols), tuple(o_cols))
+        g = random_grid(rng, n)
         links += link_components(g) > 1
         x = tuple(rng.sample(range(n), n))
         y = x if case % 10 == 0 else tuple(rng.sample(range(n), n))
@@ -265,13 +290,7 @@ def test_connecting_domain_matches_graph_search_reference():
         elif kind == 1:
             o_counts = tuple(rng.randint(-1, 2) for _ in range(n))
         else:
-            base = _staircase_coeffs(g, x, y)
-            rows = [rng.randint(-2, 2) for _ in range(n)]
-            cols = [0] * n
-            for r in range(n):
-                cols[g.x_cols[r]] = -base[r][g.x_cols[r]] - rows[r]
-            o_counts = tuple(base[r][g.o_cols[r]] + rows[r] + cols[g.o_cols[r]]
-                             for r in range(n))
+            o_counts = planted_o_counts(g, staircase_coeffs(g, x, y), rng)
         dom = connecting_domain(g, x, y, o_counts)
         want = reference_zero_xo(g, x, y, o_counts)
         assert (None if dom is None else dom.coeffs) == want, (g, x, y)
@@ -282,6 +301,66 @@ def test_connecting_domain_matches_graph_search_reference():
             assert verify_boundary(dom)
             found += 1
     assert found > 1500 and none > 1500 and links > 1000
+
+
+def test_planar_base_is_the_staircase_up_to_annuli():
+    """Against the staircase oracle, on random grids, links included: the
+    domain ``connecting_domain`` returns differs from the staircase by a
+    row shift plus a column shift, so the planar base it corrects does
+    too.  On a knot it is the corrected staircase, the unique domain; on
+    a link it may differ from that by annuli with no marking in them."""
+    rng = random.Random(30)
+    knots = links = moved = 0
+    for _ in range(3000):
+        n = rng.randint(2, 8)
+        g = random_grid(rng, n)
+        x = tuple(rng.sample(range(n), n))
+        y = tuple(rng.sample(range(n), n))
+        stair = staircase_coeffs(g, x, y)
+        o_counts = planted_o_counts(g, stair, rng)
+        got = connecting_domain(g, x, y, o_counts).coeffs
+        delta = [[a - b for a, b in zip(*rows)] for rows in zip(got, stair)]
+        assert all(delta[r][c] - delta[r][0] - delta[0][c] + delta[0][0] == 0
+                   for r in range(n) for c in range(n)), (g, x, y)
+        same = got == reference_zero_xo(g, x, y, o_counts, stair)
+        if link_components(g) == 1:
+            assert same, (g, x, y)
+            knots += 1
+        else:
+            links += 1
+            moved += not same
+    assert knots > 1500 and links > 1000 and moved > 100
+
+
+@pytest.mark.parametrize("g, mode, d", [
+    (TREFOIL5, "hat", 1),
+    (UNKNOT3, "minus", 2),
+    (TREFOIL5, "minus", 2),
+], ids=["trefoil5-hat", "unknot3-minus-d2", "trefoil5-minus-d2"])
+def test_covers_carry_the_builder_rectangle_ids(g, mode, d):
+    """Each element's cover row is the move table's row, as (target,
+    rectangle id) pairs, less the moves whose O bumps reach ``d``."""
+    n = g.n
+    table = move_table(g, DEFAULT_MAX_GRID, "XO" if d == 1 else "X")
+    expected = {}
+    for x, targets, rids in zip(table.gens, table.targets, table.rids):
+        for k in itertools.product(range(d), repeat=n):
+            row = []
+            for j, rid in zip(targets, rids):
+                col, bottom, width, height = rect_key(n, rid)
+                bumped = list(k)
+                for r in range(bottom, bottom + height):
+                    bumped[r % n] += (g.o_cols[r % n] - col) % n < width
+                if max(bumped) < d:
+                    row.append(((table.gens[j], tuple(bumped)), rid))
+            expected[x, k] = row
+    seen = 0
+    for p in all_posets(g, mode, None if mode == "hat" else d):
+        for u, element in enumerate(p.elements):
+            assert [(p._split(p.elements[l]), rid) for l, rid in p.covers[u]] \
+                == expected.pop(p._split(element))
+            seen += 1
+    assert not expected and seen == len(table.gens) * d ** n
 
 
 def test_order_is_transitive_closure_of_covers():
@@ -466,8 +545,8 @@ def random_graded_poset(rng):
     covers = [[(l, None) for l in range(m)
                if maslov[l] == maslov[u] - 1 and rng.random() < 0.5]
               for u in range(m)]
-    return _make_poset(TREFOIL5, "hat", None, 0, tuple(range(m)), maslov,
-                       covers, range(m))
+    return _make_poset(TREFOIL5, "hat", 0, tuple(range(m)), maslov, covers,
+                       range(m))
 
 
 def test_parities_and_tower_sum_on_random_graded_posets():
@@ -667,16 +746,17 @@ def test_el_label_crossing_reference():
     n = TREFOIL5.n
     seen_s0 = seen_s1 = False
     for p in all_posets(TREFOIL5):
-        for _, _, rect in flat_covers(p):
-            lab = el_label(p, rect)
-            crosses = (ref - rect.col) % n < rect.width
+        for _, _, rid in flat_covers(p):
+            lab = el_label(p, rid)
+            col, _, width, _ = rect_key(n, rid)
+            crosses = (ref - col) % n < width
             assert (lab.s == 0) == crosses
-            assert lab.t == rect.width
+            assert lab.t == width
             if lab.s == 0:
-                assert lab.i == (ref - rect.col) % n + 1
+                assert lab.i == (ref - col) % n + 1
                 seen_s0 = True
             else:
-                assert lab.i == (rect.col - ref) % n
+                assert lab.i == (col - ref) % n
                 seen_s1 = True
     assert seen_s0 and seen_s1
 
@@ -686,21 +766,24 @@ def test_el_label_right_neighbor_column():
     p = build_poset(TREFOIL5, -1)
     ref = TREFOIL5.x_cols[0]
     n = TREFOIL5.n
-    hits = [rect for _, _, rect in flat_covers(p)
-            if rect.col == (ref + 1) % n and (ref - rect.col) % n >= rect.width]
+    hits = []
+    for _, _, rid in flat_covers(p):
+        col, _, width, _ = rect_key(n, rid)
+        if col == (ref + 1) % n and (ref - col) % n >= width:
+            hits.append((rid, width))
     assert hits
-    for rect in hits:
-        lab = el_label(p, rect)
+    for rid, width in hits:
+        lab = el_label(p, rid)
         assert (lab.s, lab.i) == (1, 1)
-        assert lab.t == rect.width
+        assert lab.t == width
 
 
 def test_el_labels_identify_cover_from_below():
     """A lower endpoint and a label determine the covering rectangle."""
     for p in all_posets(TREFOIL5):
         seen = {}
-        for u, l, rect in flat_covers(p):
-            key = (l, el_label(p, rect))
+        for u, l, rid in flat_covers(p):
+            key = (l, el_label(p, rid))
             assert key not in seen or seen[key] == u
             seen[key] = u
 
@@ -724,11 +807,12 @@ def test_el_height_thickness_fails():
     """The height as the thickness breaks the shelling property, which
     is what pins the width convention."""
     failures = 0
+    n = TREFOIL5.n
     for p in all_posets(TREFOIL5):
         for y, x, _ in related_pairs(p, min_diff=2, max_diff=5):
-            labeled = [tuple(el_label(p, r)._replace(t=r.height)
-                             for r in rects)
-                       for _, rects in maximal_chains(p, y, x)]
+            labeled = [tuple(el_label(p, rid)._replace(t=rect_key(n, rid)[3])
+                             for rid in rids)
+                       for _, rids in maximal_chains(p, y, x)]
             increasing = [seq for seq in labeled
                           if all(a <= b for a, b in zip(seq, seq[1:]))]
             if increasing != [min(labeled)]:
